@@ -31,7 +31,7 @@ from .construction import (
     verify_transfer_bounds,
 )
 from .errors import ConfigError, OpquantError, ZeroVector
-from .operators import Diagonal, Operator, operator_from_dict, truncate_operator
+from .operators import Diagonal, Operator, operator_from_dict, window_action_matrix
 from .quantities import QUANTITIES, limit_estimate, svd_oracle
 from .sampling import odd_coordinate_witness, sample_lemma_functionals, sample_witness_subspace
 from .seqspace import ELL2, SpaceConfig, Subspace, TailVector, norm, space_from_tag
@@ -448,7 +448,7 @@ def emit_test_vectors(
     schedule = params.get("schedule") or [[4, 1, 2]]
     windows = sorted({entry[0] for entry in schedule})
     singular_values = [
-        {"N": N, "values": [float(s) for s in svd_oracle(truncate_operator(T, N))]}
+        {"N": N, "values": [float(s) for s in svd_oracle(window_action_matrix(T, N))]}
         for N in windows
     ]
     quantity_rows = []

@@ -31,7 +31,7 @@ from .errors import (
     OpquantError,
     ZeroVector,
 )
-from .operators import Operator, apply, operator_norm, restricted_extremes, restricted_min_modulus, restricted_norm
+from .operators import Operator, _restricted_eigs, apply, operator_norm, restricted_extremes
 from .seqspace import (
     ELL2,
     LinearFunctional,
@@ -40,7 +40,6 @@ from .seqspace import (
     TailVector,
     _check_positive_definite,
     gram,
-    inner_product,
     linear_combine,
     norm,
     norming_functional,
@@ -62,13 +61,15 @@ class BiorthogonalSystem:
 
     Every m_n has unit norm; every x'_n has dual norm 1 and pairs to 1
     with its own m_n.  source records the subspace the vectors were
-    drawn from (None for the ambient space).
+    drawn from (None for the ambient space).  gram_m is the l^2 Gram
+    matrix of the m_n, so ||sum a_i m_i||_2^2 = a^T gram_m a.
     """
 
     vectors: tuple[TailVector, ...]
     functionals: tuple[LinearFunctional, ...]
     source: Optional[Subspace]
     space: SpaceConfig
+    gram_m: np.ndarray
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -89,7 +90,7 @@ def _validate_system(system: BiorthogonalSystem) -> None:
         for i in range(n - 1):
             if abs(pairing(system.functionals[i], m)) > BIORTHOGONAL_TOL:
                 raise OpquantError(f"functional {i + 1} does not annihilate vector {n}")
-    _check_positive_definite(gram(system.vectors), DegenerateBasis, "biorthogonal vectors")
+    _check_positive_definite(system.gram_m, DegenerateBasis, "biorthogonal vectors")
 
 
 def _ambient_pool(count: int):
@@ -180,22 +181,34 @@ def build_biorthogonal(
         m = scaled(w, 1.0 / nw)
         vectors.append(m)
         functionals.append(norming_functional(m, space))
-    system = BiorthogonalSystem(tuple(vectors), tuple(functionals), M, space)
+    system = BiorthogonalSystem(tuple(vectors), tuple(functionals), M, space, gram(vectors))
     _validate_system(system)
     return system
+
+
+def _form_norm(g: np.ndarray, a: np.ndarray) -> float:
+    """||sum a_i v_i||_2 from the Gram matrix g of the v_i."""
+    n = a.size
+    return math.sqrt(max(0.0, float(a @ g[:n, :n] @ a)))
 
 
 def check_coefficient_bound(
     system: BiorthogonalSystem, w_coeffs: Sequence[float]
 ) -> tuple[bool, list[float]]:
-    """Check |a_i| <= 2^(i-1) ||sum a_i m_i|| for every coefficient."""
+    """Check |a_i| <= 2^(i-1) ||sum a_i m_i|| for every coefficient.
+
+    For p = 2 the norm is the quadratic form on system.gram_m; for
+    p in {1, inf} the combination is built and measured exactly.
+    """
     coeffs = [float(a) for a in w_coeffs]
     if len(coeffs) > len(system):
         raise ValueError(f"{len(coeffs)} coefficients for a system of {len(system)}")
     if not coeffs or all(a == 0.0 for a in coeffs):
         return True, [0.0 for _ in coeffs]
-    w = linear_combine(coeffs, system.vectors[: len(coeffs)])
-    nw = norm(w, system.space)
+    if system.space.p == 2:
+        nw = _form_norm(system.gram_m, np.array(coeffs))
+    else:
+        nw = norm(linear_combine(coeffs, system.vectors[: len(coeffs)]), system.space)
     margins = [2.0 ** (i - 1) * nw - abs(a) for i, a in enumerate(coeffs, start=1)]
     return all(m >= -INEQUALITY_SLACK for m in margins), margins
 
@@ -213,6 +226,14 @@ class CoreApproximation:
     The correspondence z_i -> m_i extends linearly to the bijection
     A : span{z_n} -> span{m_n}; budgets holds the realized distances
     ||z_n - m_n||, each within its geometric bound.
+
+    The l^2 Gram matrices built here make every check on a combination
+    sum a_i z_i a quadratic form a^T G a: gram_z of the z_n, gram_defects
+    of the defects d_n = z_n - m_n, and gram_tz and gram_tm of the images
+    T z_n and T m_n under operator, the T the approximants were built
+    with (the m_n themselves have system.gram_m).  gram_defects comes
+    from the exact differences: expanding ||z - Az||^2 through gram_z and
+    gram_m would lose the 1e-9 inequality slack to cancellation.
     """
 
     system: BiorthogonalSystem
@@ -221,6 +242,11 @@ class CoreApproximation:
     epsilon: float
     c: float
     T_norm: float
+    operator: Operator
+    gram_z: np.ndarray
+    gram_defects: np.ndarray
+    gram_tz: np.ndarray
+    gram_tm: np.ndarray
 
     @property
     def targets(self) -> tuple[TailVector, ...]:
@@ -228,13 +254,24 @@ class CoreApproximation:
         return self.system.vectors
 
     def combine(self, coeffs: Sequence[float]) -> tuple[TailVector, TailVector]:
-        """(z, Az) for z = sum coeffs[i] z_i."""
+        """(z, Az) for z = sum coeffs[i] z_i, as exact tail vectors."""
         n = len(coeffs)
         if n > len(self.z):
             raise ValueError(f"{n} coefficients for {len(self.z)} vectors")
         z = linear_combine(coeffs, self.z[:n])
         az = linear_combine(coeffs, self.targets[:n])
         return z, az
+
+
+def _combination(ca: CoreApproximation, coeffs: Sequence[float]) -> np.ndarray:
+    a = np.array(coeffs, dtype=np.float64)
+    if a.size > len(ca.z):
+        raise ValueError(f"{a.size} coefficients for {len(ca.z)} vectors")
+    return a
+
+
+def _image_gram(T: Operator, vectors: Sequence[TailVector]) -> np.ndarray:
+    return gram([apply(T, v) for v in vectors])
 
 
 def _minimal_truncation_index(v: TailVector, target: float, space: SpaceConfig) -> int:
@@ -320,14 +357,27 @@ def build_core_approximants(
             raise BudgetInfeasible(f"step {n} could not meet budget {bound}")
         zs.append(z)
         realized.append(gap)
-    ca = CoreApproximation(system, tuple(zs), tuple(realized), epsilon, c, T_norm)
+    defects = [linear_combine([1.0, -1.0], [z, m]) for z, m in zip(zs, system.vectors)]
+    ca = CoreApproximation(
+        system,
+        tuple(zs),
+        tuple(realized),
+        epsilon,
+        c,
+        T_norm,
+        T,
+        gram(zs),
+        gram(defects),
+        _image_gram(T, zs),
+        _image_gram(T, system.vectors),
+    )
     for n, (gap, z) in enumerate(zip(ca.budgets, ca.z), start=1):
         if gap > budget_bound(n, epsilon, c, T_norm):
             raise BudgetInfeasible(f"realized distance {gap} exceeds the step-{n} budget")
         for f in system.kernel_stack(n):
             if abs(pairing(f, z)) > BIORTHOGONAL_TOL:
                 raise BudgetInfeasible(f"approximant {n} escapes the kernel intersection")
-    _check_positive_definite(gram(ca.z), DegenerateBasis, "core approximants")
+    _check_positive_definite(ca.gram_z, DegenerateBasis, "core approximants")
     return ca
 
 
@@ -337,13 +387,14 @@ def verify_near_isometry(
     """Check the defect and distortion bounds for one combination.
 
     defect: ||z - Az|| stays below eps * min{1, c/||T||} * ||Az||;
-    distortion: (1-eps) ||Az|| <= ||z|| <= (1+eps) ||Az||.
+    distortion: (1-eps) ||Az|| <= ||z|| <= (1+eps) ||Az||.  The three
+    norms are quadratic forms on ca.gram_defects, ca.gram_z and
+    ca.system.gram_m.
     """
-    z, az = ca.combine(z_coeffs)
-    space = ca.system.space
-    gap = norm(linear_combine([1.0, -1.0], [z, az]), space)
-    z_norm = norm(z, space)
-    az_norm = norm(az, space)
+    a = _combination(ca, z_coeffs)
+    gap = _form_norm(ca.gram_defects, a)
+    z_norm = _form_norm(ca.gram_z, a)
+    az_norm = _form_norm(ca.system.gram_m, a)
     factor = 1.0 if ca.T_norm == 0.0 else min(1.0, ca.c / ca.T_norm)
     allowance = ca.epsilon * factor * az_norm
     defect_holds = gap <= allowance + INEQUALITY_SLACK
@@ -367,16 +418,21 @@ def verify_transfer_bounds(
     """Check that ||Tz||/||z|| brackets against the image-side ratio.
 
     lower: above (ratio(Az) - eps c)/(1+eps); upper: below
-    (ratio(Az) + eps c)/(1-eps).
+    (ratio(Az) + eps c)/(1-eps).  Norms are quadratic forms on ca.gram_z
+    and ca.system.gram_m, and, when T is ca.operator, on ca.gram_tz and
+    ca.gram_tm; for any other T the image Gram matrices are built here.
     """
-    z, az = ca.combine(z_coeffs)
-    space = ca.system.space
-    z_norm = norm(z, space)
-    az_norm = norm(az, space)
+    a = _combination(ca, z_coeffs)
+    z_norm = _form_norm(ca.gram_z, a)
+    az_norm = _form_norm(ca.system.gram_m, a)
     if z_norm == 0.0 or az_norm == 0.0:
         raise ZeroVector("transfer ratios need a nonzero combination")
-    z_ratio = norm(apply(T, z), space) / z_norm
-    az_ratio = norm(apply(T, az), space) / az_norm
+    if T is ca.operator:
+        gram_tz, gram_tm = ca.gram_tz, ca.gram_tm
+    else:
+        gram_tz, gram_tm = _image_gram(T, ca.z[: a.size]), _image_gram(T, ca.targets[: a.size])
+    z_ratio = _form_norm(gram_tz, a) / z_norm
+    az_ratio = _form_norm(gram_tm, a) / az_norm
     lower_threshold = (az_ratio - ca.epsilon * ca.c) / (1.0 + ca.epsilon)
     upper_threshold = (az_ratio + ca.epsilon * ca.c) / (1.0 - ca.epsilon)
     lower_holds = z_ratio > lower_threshold - INEQUALITY_SLACK
@@ -500,9 +556,12 @@ def sub_basis_coefficients(dim: int, samples: int, seed: int) -> list[np.ndarray
     return out
 
 
-def _combined_subspace(vectors: Sequence[TailVector], coeffs: np.ndarray) -> Subspace:
-    cols = [linear_combine(coeffs[:, j], vectors) for j in range(coeffs.shape[1])]
-    return Subspace(tuple(cols))
+def _sub_basis_eigs(gram_t: np.ndarray, gram_v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """_restricted_eigs on the span of the combinations sum_i coeffs[i, j] v_i.
+
+    gram_v is the Gram matrix of the v_i and gram_t that of their images.
+    """
+    return _restricted_eigs(coeffs.T @ gram_t @ coeffs, coeffs.T @ gram_v @ coeffs)
 
 
 def run_invariance_case(
@@ -547,12 +606,12 @@ def run_invariance_case(
     measured: dict = {"witness_quantity": witness_quantity, "c": c}
     if part == "Gamma":
         threshold = (1.0 + epsilon) / (1.0 - epsilon) * c
-        value = restricted_norm(T, L)
+        value = math.sqrt(float(_restricted_eigs(ca.gram_tz, ca.gram_z)[-1]))
         measured.update({"restricted_norm_L": value, "threshold": threshold})
         passed = value <= threshold + INEQUALITY_SLACK
     elif part == "Tau":
         threshold = (1.0 - epsilon) / (1.0 + epsilon) * c
-        value = restricted_min_modulus(T, L)
+        value = math.sqrt(float(_restricted_eigs(ca.gram_tz, ca.gram_z)[0]))
         measured.update({"restricted_min_modulus_L": value, "threshold": threshold})
         passed = value >= threshold - INEQUALITY_SLACK
     else:
@@ -562,20 +621,21 @@ def run_invariance_case(
             threshold = (1.0 - epsilon) / (1.0 + epsilon) * c
         else:
             threshold = (1.0 + epsilon) / (1.0 - epsilon) * c
+        # V = span{Z C} for Z = (z_n) and AV = span{M C} for M = (m_n)
         for coeffs in sub_basis_coefficients(len(ca.z), sub_basis_samples, seed):
             try:
-                V = _combined_subspace(ca.z, coeffs)
-                AV = _combined_subspace(ca.targets, coeffs)
+                v_eigs = _sub_basis_eigs(ca.gram_tz, ca.gram_z, coeffs)
+                av_eigs = _sub_basis_eigs(ca.gram_tm, ca.system.gram_m, coeffs)
             except DegenerateBasis:
                 continue
             tested += 1
             if part == "Delta":
-                if restricted_norm(T, AV) > c:
+                if math.sqrt(float(av_eigs[-1])) > c:
                     triggered += 1
-                    worst = min(worst, restricted_norm(T, V) - threshold)
-            elif restricted_min_modulus(T, AV) < c:
+                    worst = min(worst, math.sqrt(float(v_eigs[-1])) - threshold)
+            elif math.sqrt(float(av_eigs[0])) < c:
                 triggered += 1
-                worst = min(worst, threshold - restricted_min_modulus(T, V))
+                worst = min(worst, threshold - math.sqrt(float(v_eigs[0])))
         measured.update(
             {
                 "sub_bases_tested": tested,

@@ -260,25 +260,35 @@ def restriction_data(T: Operator, M: Subspace) -> RestrictedOperatorData:
     return RestrictedOperatorData(M, gram(M.basis), gram(images))
 
 
-def _restricted_eigs(data: RestrictedOperatorData) -> np.ndarray:
-    _check_positive_definite(data.gram_M, DegenerateBasis, "restriction basis")
-    eigs = scipy.linalg.eigh(data.gram_TM, data.gram_M, eigvals_only=True)
+def _restricted_eigs(gram_TM: np.ndarray, gram_M: np.ndarray) -> np.ndarray:
+    """Squares of ||Tm||/||m|| at the critical points of a span, ascending.
+
+    gram_M is the Gram matrix of a basis and gram_TM that of its image;
+    a basis failing the rank tolerance raises DegenerateBasis.
+    """
+    _check_positive_definite(gram_M, DegenerateBasis, "restriction basis")
+    eigs = scipy.linalg.eigh(gram_TM, gram_M, eigvals_only=True)
     return np.clip(eigs, 0.0, None)
+
+
+def _eigs_on(T: Operator, M: Subspace) -> np.ndarray:
+    data = restriction_data(T, M)
+    return _restricted_eigs(data.gram_TM, data.gram_M)
 
 
 def restricted_norm(T: Operator, M: Subspace) -> float:
     """||T restricted to span(M)|| = sup of ||Tm||/||m|| over the span."""
-    return math.sqrt(float(_restricted_eigs(restriction_data(T, M))[-1]))
+    return math.sqrt(float(_eigs_on(T, M)[-1]))
 
 
 def restricted_min_modulus(T: Operator, M: Subspace) -> float:
     """inf of ||Tm||/||m|| over the span of M."""
-    return math.sqrt(float(_restricted_eigs(restriction_data(T, M))[0]))
+    return math.sqrt(float(_eigs_on(T, M)[0]))
 
 
 def restricted_extremes(T: Operator, M: Subspace) -> tuple[float, float]:
     """(min modulus, norm) from one generalized eigenvalue solve."""
-    eigs = _restricted_eigs(restriction_data(T, M))
+    eigs = _eigs_on(T, M)
     return math.sqrt(float(eigs[0])), math.sqrt(float(eigs[-1]))
 
 

@@ -9,8 +9,8 @@ K-dimensional (outer) subspaces of span{e_1..e_N}:
   Delta_kK  = sup over K-dim M of Gamma_k of the restriction
   Nabla_kK  = inf over K-dim M of Tau_k of the restriction
 
-Three methods are available: a singular-value oracle on the square
-compression (exact for the window, validated against brute force), an
+Three methods are available: a singular-value oracle on the window
+action matrix (exact for the window, spill rows included), an
 exhaustive coordinate-subset oracle for diagonal operators (exact), and
 a seeded Grassmannian search for general operators (one-sided bound
 with certified bracket).
@@ -31,7 +31,6 @@ from .operators import (
     Diagonal,
     Operator,
     operator_norm,
-    truncate_operator,
     window_action_matrix,
 )
 from .seqspace import ELL2, Subspace, TailVector
@@ -78,9 +77,14 @@ class QuantityEstimate:
         }
 
 
-def svd_oracle(A: DenseMatrix) -> np.ndarray:
-    """Singular values of the window compression, descending."""
-    return np.linalg.svd(A.matrix, compute_uv=False)
+def svd_oracle(A: DenseMatrix | np.ndarray) -> np.ndarray:
+    """Singular values of a window matrix, descending.
+
+    The window quantities take them of window_action_matrix(T, N), whose
+    rows include the coordinates past N that T e_j reaches; a DenseMatrix
+    is read through its entries.
+    """
+    return np.linalg.svd(A.matrix if isinstance(A, DenseMatrix) else A, compute_uv=False)
 
 
 def _check_dims(N: int, k: int, K: int) -> None:
@@ -223,7 +227,7 @@ def _resolve_method(T: Operator, method: str) -> str:
 
 
 def _svd_value(T: Operator, N: int, index: int) -> float:
-    return float(svd_oracle(truncate_operator(T, N))[index])
+    return float(svd_oracle(window_action_matrix(T, N))[index])
 
 
 def _estimate(

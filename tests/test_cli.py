@@ -224,6 +224,17 @@ class TestVectors:
         bundle = emit_test_vectors(parse(data), str(tmp_path / "v.json"))
         assert bundle["singular_values"] == [{"N": 4, "values": [4.0, 3.0, 2.0, 1.0]}]
 
+    def test_shift_window_sigma(self, tmp_path):
+        data = {
+            "space": {"p": 2},
+            "operator": {"kind": "shift", "periodic": [1.0, 0.5]},
+            "experiment": "quantities",
+            "parameters": {"quantity": "Gamma", "schedule": [[6, 1, 1]]},
+        }
+        bundle = emit_test_vectors(parse(data), str(tmp_path / "v.json"))
+        assert bundle["singular_values"] == [{"N": 6, "values": [1.0, 1.0, 1.0, 0.5, 0.5, 0.5]}]
+        assert bundle["quantities"][0]["Gamma"] == 0.5
+
     def test_byte_identical(self, tmp_path):
         config = parse(MINIMAL)
         a, b = tmp_path / "a.json", tmp_path / "b.json"

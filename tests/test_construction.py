@@ -1,5 +1,6 @@
 """Tests for the biorthogonal build, core approximants, and experiments."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,12 +12,14 @@ from opquant import (
     ELLINF,
     Diagonal,
     ExhaustedSubspace,
+    FiniteRankPlus,
     IncompatibleTails,
     InvalidWitness,
     Subspace,
     TailVector,
     WeightedShift,
     ZeroVector,
+    apply,
     budget_bound,
     build_biorthogonal,
     build_core_approximants,
@@ -35,7 +38,8 @@ from opquant import (
     verify_near_isometry,
     verify_transfer_bounds,
 )
-from opquant.errors import DegenerateFunctionals
+from opquant.construction import _sub_basis_eigs
+from opquant.errors import DegenerateBasis, DegenerateFunctionals
 from opquant.sampling import (
     odd_coordinate_witness,
     sample_lemma_functionals,
@@ -44,6 +48,11 @@ from opquant.sampling import (
 
 IDENT = Diagonal(periodic_values=(1.0,))
 ALT12 = Diagonal(periodic_values=(1.0, 2.0))
+ZERO = Diagonal(periodic_values=(0.0,))
+SHIFT = WeightedShift(prefix_values=(0.7, 1.3), periodic_values=(1.0, 0.5))
+FRP = FiniteRankPlus(
+    [[0.4, -0.3, 0.1], [0.2, 0.5, -0.2], [-0.1, 0.3, 0.6]], Diagonal(periodic_values=(1.0, 2.0))
+)
 
 
 def assert_biorthogonal(system, tol=1e-10):
@@ -278,15 +287,86 @@ class TestTransferBounds:
                         lower, upper, _ = verify_transfer_bounds(ca, ALT12, coeffs)
                         assert lower and upper
 
-    def test_transfer_soundness_on_sub_bases(self, tail_ca):
-        epsilon, c = tail_ca.epsilon, tail_ca.c
-        for coeffs in sub_basis_coefficients(3, 40, seed=9):
-            V = Subspace(tuple(linear_combine(coeffs[:, j], tail_ca.z) for j in range(coeffs.shape[1])))
-            AV = Subspace(tuple(linear_combine(coeffs[:, j], tail_ca.targets) for j in range(coeffs.shape[1])))
-            if restricted_norm(ALT12, AV) < c:
-                assert restricted_norm(ALT12, V) < (1 + epsilon) / (1 - epsilon) * c + 1e-9
-            if restricted_min_modulus(ALT12, AV) > c:
-                assert restricted_min_modulus(ALT12, V) > (1 - epsilon) / (1 + epsilon) * c - 1e-9
+    def test_transfer_soundness_on_sub_bases(self):
+        for ratio, T in itertools.product((0.5, 0.99), (ALT12, SHIFT, FRP)):
+            system = build_biorthogonal(odd_coordinate_witness(3, ratio), 3, seed=0)
+            ca = build_core_approximants(system, T, 0.1, 1.0)
+            epsilon, c = ca.epsilon, ca.c
+            for coeffs in sub_basis_coefficients(3, 40, seed=9):
+                V = Subspace(tuple(linear_combine(coeffs[:, j], ca.z) for j in range(coeffs.shape[1])))
+                AV = Subspace(tuple(linear_combine(coeffs[:, j], ca.targets) for j in range(coeffs.shape[1])))
+                # the Gram-first extremes of run_invariance_case against the tail-vector spans
+                for span, eigs in (
+                    (V, _sub_basis_eigs(ca.gram_tz, ca.gram_z, coeffs)),
+                    (AV, _sub_basis_eigs(ca.gram_tm, system.gram_m, coeffs)),
+                ):
+                    top = restricted_norm(T, span)
+                    assert math.sqrt(eigs[-1]) == pytest.approx(top, rel=1e-12)
+                    bottom = restricted_min_modulus(T, span)
+                    assert math.sqrt(eigs[0]) == pytest.approx(bottom, rel=1e-12, abs=1e-12 * top)
+                if restricted_norm(T, AV) < c:
+                    assert restricted_norm(T, V) < (1 + epsilon) / (1 - epsilon) * c + 1e-9
+                if restricted_min_modulus(T, AV) > c:
+                    assert restricted_min_modulus(T, V) > (1 - epsilon) / (1 + epsilon) * c - 1e-9
+
+    def test_degenerate_sub_basis_rejected(self, tail_ca):
+        coeffs = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(DegenerateBasis):
+            _sub_basis_eigs(tail_ca.gram_tz, tail_ca.gram_z, coeffs)
+
+
+def assert_same(value, expected):
+    """Equal to 1e-12 relative; an exact zero must come out exactly zero."""
+    if expected == 0.0:
+        assert value == 0.0
+    else:
+        assert value == pytest.approx(expected, rel=1e-12)
+
+
+def reference_checks(ca, T, coeffs):
+    """The measured norms of the three checks from exact tail-vector combinations."""
+    z, az = ca.combine(coeffs)
+    return {
+        "gap": norm(linear_combine([1.0, -1.0], [z, az])),
+        "z_norm": norm(z),
+        "az_norm": norm(az),
+        "Tz_norm": norm(apply(T, z)),
+        "Taz_norm": norm(apply(T, az)),
+        "margins": [2.0 ** (i - 1) * norm(az) - abs(a) for i, a in enumerate(coeffs, start=1)],
+    }
+
+
+class TestGramKernel:
+    """The quadratic-form checks against combine + norm + apply."""
+
+    def cases(self):
+        rng = np.random.default_rng(46)
+        yield build_biorthogonal(None, 3), IDENT, [ZERO, ALT12]
+        for ratio in (0.5, 0.99):
+            for T in (ALT12, SHIFT, FRP):
+                system = build_biorthogonal(odd_coordinate_witness(3, ratio), 3, seed=0)
+                yield system, T, [IDENT, ZERO]
+        M = sample_witness_subspace(rng, 4)
+        yield build_biorthogonal(M, 4, seed=2), SHIFT, [ALT12]
+
+    def test_matches_tail_vector_reference(self):
+        rng = np.random.default_rng(47)
+        for system, T, others in self.cases():
+            ca = build_core_approximants(system, T, 0.1, 1.0)
+            for _ in range(30):
+                coeffs = list(rng.uniform(-1.0, 1.0, size=int(rng.integers(1, len(system) + 1))))
+                ref = reference_checks(ca, T, coeffs)
+                _, margins = check_coefficient_bound(system, coeffs)
+                for value, expected in zip(margins, ref["margins"]):
+                    assert value == pytest.approx(expected, rel=1e-12, abs=1e-12 * max(map(abs, coeffs)))
+                _, _, near = verify_near_isometry(ca, coeffs)
+                for key in ("gap", "z_norm", "az_norm"):
+                    assert_same(near[key], ref[key])
+                for U in (T, *others):
+                    ref_U = reference_checks(ca, U, coeffs)
+                    _, _, transfer = verify_transfer_bounds(ca, U, coeffs)
+                    assert_same(transfer["z_ratio"], ref_U["Tz_norm"] / ref_U["z_norm"])
+                    assert_same(transfer["az_ratio"], ref_U["Taz_norm"] / ref_U["az_norm"])
 
 
 class TestDenseIntersection:

@@ -58,6 +58,16 @@ class TestSvdOracle:
     def test_identity(self):
         np.testing.assert_array_equal(svd_oracle(DenseMatrix(np.eye(3))), np.ones(3))
 
+    def test_shift_keeps_spill_rows(self):
+        # T e_6 = 0.5 e_7 leaves the window; the square compression drops it and reads 0
+        T = WeightedShift(periodic_values=(1.0, 0.5))
+        estimate = gamma_k(T, 6, 1)
+        assert (estimate.value, estimate.bracket) == (0.5, (0.5, 0.5))
+        searched = gamma_k(T, 6, 1, method="grassmann_search", restarts=8, seed=0)
+        assert searched.value == pytest.approx(0.5, abs=1e-9)
+        assert tau_k(T, 6, 1).value == 1.0
+        assert nabla_kK(T, 6, 1, 2).value == 0.5
+
 
 class TestGammaTau:
     def test_identity_everywhere(self):
