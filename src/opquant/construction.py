@@ -39,6 +39,7 @@ from .seqspace import (
     Subspace,
     TailVector,
     _check_positive_definite,
+    _realigned_tail,
     gram,
     linear_combine,
     norm,
@@ -46,7 +47,6 @@ from .seqspace import (
     pairing,
     project_into_kernels,
     scaled,
-    truncate,
     unit_vector,
 )
 
@@ -275,24 +275,35 @@ def _image_gram(T: Operator, vectors: Sequence[TailVector]) -> np.ndarray:
 
 
 def _minimal_truncation_index(v: TailVector, target: float, space: SpaceConfig) -> int:
-    """Smallest J with the exact discarded-tail norm of v at most target."""
-    lo = v.anchor
-    if truncate(v, lo, space)[1] <= target:
-        return lo
-    hi = lo + 1
-    for _ in range(4000):
-        if truncate(v, hi, space)[1] <= target:
-            break
-        hi *= 2
-    else:
+    """Smallest J with the exact discarded-tail norm of v at most target.
+
+    Past the anchor the discarded tail shrinks by |r|^P every period P,
+    so within each phase J = anchor + q + P m the first J under target
+    has a closed form; the minimum over phases is then settled against
+    the exact norm, which equals truncate(v, J)[1].
+    """
+    anchor, period = v.anchor, v.period
+
+    def rest(J: int) -> float:
+        return norm(TailVector((), _realigned_tail(v, J, period), v.tail_ratio), space)
+
+    def first_in_phase(J: int) -> int:
+        start = rest(J)
+        if start <= target:
+            return J
+        shrink = period * math.log(abs(v.tail_ratio))
+        return J + period * math.ceil((math.log(target) - math.log(start)) / shrink)
+
+    if rest(anchor) <= target:
+        return anchor
+    if not target > 0.0:
         raise BudgetInfeasible(f"no truncation of {v!r} reaches {target}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if truncate(v, mid, space)[1] <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    J = min(first_in_phase(anchor + q) for q in range(period))
+    while rest(J) > target:
+        J += 1
+    while J > anchor and rest(J - 1) <= target:
+        J -= 1
+    return J
 
 
 def _window_kernel_projection(

@@ -4,8 +4,8 @@ Four variants: eventually periodic diagonals, weighted shifts with the
 same weight layout, a finite dense block added to a diagonal, and plain
 dense matrices acting on a truncated window (the oracle-only variant).
 Applying any of the structured variants to a TailVector stays inside the
-tail-vector class exactly; norms and restricted norms come in closed form
-or as certified brackets.
+tail-vector class exactly; operator norms come in closed form, and
+restricted norms from one generalized eigenvalue solve on Gram matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .seqspace import (
     _realigned_tail,
     gram,
     linear_combine,
-    norm,
 )
 
 
@@ -206,10 +205,11 @@ def _matrix_norm(m: np.ndarray, space: SpaceConfig) -> float:
 
 
 def operator_norm_bracket(T: Operator, space: SpaceConfig = ELL2) -> tuple[float, float]:
-    """Certified [lower, upper] bracket for the l^p operator norm.
+    """The l^p operator norm as a collapsed [lower, upper] bracket.
 
-    Exact variants return a collapsed bracket.  FiniteRankPlus pairs the
-    triangle-inequality upper bound with a sampled lower bound.
+    Every variant is exact.  FiniteRankPlus is the direct sum of
+    block + diag(d_1..d_B) on coordinates 1..B and the diagonal beyond B,
+    so its norm is the larger of the two parts' norms.
     """
     if isinstance(T, (Diagonal, WeightedShift)):
         sup = float(np.max(np.abs(T.periodic_values)))
@@ -220,27 +220,16 @@ def operator_norm_bracket(T: Operator, space: SpaceConfig = ELL2) -> tuple[float
         value = _matrix_norm(T.matrix, space)
         return value, value
     if isinstance(T, FiniteRankPlus):
-        diag_sup = operator_norm_bracket(T.diagonal, space)[1]
-        upper = diag_sup + _matrix_norm(T.block, space)
-        lower = 0.0
-        probe = T.block_size + 2 * T.diagonal.periodic_values.size + 4
-        for j in range(1, probe + 1):
-            e = np.zeros(j)
-            e[j - 1] = 1.0
-            lower = max(lower, norm(apply(T, TailVector(e)), space))
-        rng = np.random.default_rng(0)
-        for _ in range(32):
-            x = rng.standard_normal(probe)
-            v = TailVector(x)
-            nv = norm(v, space)
-            if nv > 0.0:
-                lower = max(lower, norm(apply(T, v), space) / nv)
-        return min(lower, upper), upper
+        B = T.block_size
+        d = T.diagonal
+        beyond = np.concatenate([d.prefix_values[B:], d.periodic_values])
+        value = max(_matrix_norm(T.block + np.diag(d.entries(B)), space), float(np.max(np.abs(beyond))))
+        return value, value
     raise TypeError(f"not an operator: {T!r}")
 
 
 def operator_norm(T: Operator, space: SpaceConfig = ELL2) -> float:
-    """The certified upper bound on ||T|| (exact except FiniteRankPlus)."""
+    """The exact l^p operator norm of T."""
     return operator_norm_bracket(T, space)[1]
 
 

@@ -9,17 +9,17 @@ K-dimensional (outer) subspaces of span{e_1..e_N}:
   Delta_kK  = sup over K-dim M of Gamma_k of the restriction
   Nabla_kK  = inf over K-dim M of Tau_k of the restriction
 
-Three methods are available: a singular-value oracle on the window
-action matrix (exact for the window, spill rows included), an
-exhaustive coordinate-subset oracle for diagonal operators (exact), and
-a seeded Grassmannian search for general operators (one-sided bound
-with certified bracket).
+By Courant-Fischer each value is one order statistic, counted from the
+largest: Gamma_k the (N-k+1)-th, Tau_k the k-th, Delta_kK the (K-k+1)-th
+and Nabla_kK the (N-K+k)-th.  Three methods are available: that order
+statistic of the singular values of the window action matrix (exact for
+the window, spill rows included), of the moduli of a diagonal operator
+(exact, with a coordinate witness), and a seeded Grassmannian search
+for general operators (one-sided bound with certified bracket).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,9 +37,6 @@ from .seqspace import ELL2, Subspace, TailVector
 
 QUANTITIES = ("Gamma", "Delta", "Tau", "Nabla")
 METHODS = ("svd_oracle", "subset_oracle", "grassmann_search")
-
-# enumeration cap for the exhaustive outer loop of Delta/Nabla
-MAX_SUBSET_COMBOS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -98,49 +95,39 @@ def _diagonal_moduli(T: Operator, N: int) -> np.ndarray:
     return np.abs(T.entries(N))
 
 
+def _descending_index(quantity: str, N: int, k: int, K: int) -> int:
+    """Position of a window value among N descending singular values."""
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    return {"Gamma": N - k, "Tau": k - 1, "Delta": K - k, "Nabla": N - K + k - 1}[quantity]
+
+
 def coordinate_subset_value(
     moduli: Sequence[float], quantity: str, k: int, K: int | None = None
 ) -> tuple[float, tuple[int, ...]]:
     """Exact optimum of a quantity over coordinate index sets.
 
     Returns the value and the lexicographically smallest optimal index
-    set (1-based).  Gamma/Tau reduce to order statistics: the k smallest
-    (largest) moduli attain the optimum, so only the witness needs the
-    candidate scan.  Delta/Nabla enumerate all K-element outer sets; the
-    inner optimum over k-element subsets is the k-th smallest (largest)
-    modulus within the set.
+    set (1-based).  The value is an order statistic of the moduli.  A set
+    is optimal when it holds few enough "wrong" moduli, those above the
+    value for Gamma/Nabla and below it for Tau/Delta: none for Gamma/Tau
+    (k indices), at most k - 1 for Delta/Nabla (K indices).  Taking every
+    index in order while the wrong ones stay within that allowance gives
+    the smallest such set.
     """
     absd = np.abs(np.asarray(moduli, dtype=np.float64))
     n = absd.size
-    if quantity in ("Gamma", "Tau"):
-        _check_dims(n, k, k)
-        a = np.sort(absd)
-        if quantity == "Gamma":
-            value = float(a[k - 1])
-            candidates = np.flatnonzero(absd <= value)
-        else:
-            value = float(a[n - k])
-            candidates = np.flatnonzero(absd >= value)
-        witness = tuple(int(j) + 1 for j in candidates[:k])
-        return value, witness
-    if K is None:
-        raise BadDimensions(f"{quantity} needs an outer dimension K")
-    _check_dims(n, k, K)
-    if math.comb(n, K) > MAX_SUBSET_COMBOS:
-        raise BadDimensions(f"C({n},{K}) outer sets exceed the enumeration cap {MAX_SUBSET_COMBOS}")
-    sets = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), K)), dtype=np.intp
-    ).reshape(-1, K)
-    vals = absd[sets]
-    if quantity == "Delta":
-        inner = np.partition(vals, k - 1, axis=1)[:, k - 1]
-        pos = int(np.argmax(inner))  # first optimum in lex order
-    elif quantity == "Nabla":
-        inner = np.partition(vals, K - k, axis=1)[:, K - k]
-        pos = int(np.argmin(inner))
+    if quantity in ("Delta", "Nabla"):
+        if K is None:
+            raise BadDimensions(f"{quantity} needs an outer dimension K")
+        allowance, size = k - 1, K
     else:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    return float(inner[pos]), tuple(int(j) + 1 for j in sets[pos])
+        K, allowance, size = k, 0, k
+    _check_dims(n, k, K)
+    value = float(np.sort(absd)[::-1][_descending_index(quantity, n, k, K)])
+    wrong = absd > value if quantity in ("Gamma", "Nabla") else absd < value
+    keep = ~wrong | (np.cumsum(wrong) <= allowance)
+    return value, tuple(int(j) + 1 for j in np.flatnonzero(keep)[:size])
 
 
 def _orthonormal_complement(Q: np.ndarray) -> np.ndarray:
@@ -243,13 +230,7 @@ def _estimate(
     _check_dims(N, k, K)
     resolved = _resolve_method(T, method)
     if resolved == "svd_oracle":
-        index = {
-            "Gamma": N - k,
-            "Tau": k - 1,
-            "Delta": K - k,
-            "Nabla": N - K + k - 1,
-        }[quantity]
-        value = _svd_value(T, N, index)
+        value = _svd_value(T, N, _descending_index(quantity, N, k, K))
         bracket = (value, value)
     elif resolved == "subset_oracle":
         value, _ = coordinate_subset_value(_diagonal_moduli(T, N), quantity, k, K)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opquant import (
     ELL1,
@@ -34,11 +36,12 @@ from opquant import (
     restricted_norm,
     run_invariance_case,
     sub_basis_coefficients,
+    truncate,
     unit_vector,
     verify_near_isometry,
     verify_transfer_bounds,
 )
-from opquant.construction import _sub_basis_eigs
+from opquant.construction import _minimal_truncation_index, _sub_basis_eigs
 from opquant.errors import DegenerateBasis, DegenerateFunctionals
 from opquant.sampling import (
     odd_coordinate_witness,
@@ -183,6 +186,21 @@ class TestCoreApproximants:
         assert ca.z[0].anchor == 6
         assert ca.budgets[0] == pytest.approx(2.0 ** -6, rel=1e-12)
         assert ca.budgets[0] <= budget_bound(1, 0.1, 1.0, 1.0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        prefix=st.lists(st.floats(-2.0, 2.0), max_size=4),
+        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+        ratio=st.floats(-0.9999, 0.9999),
+        log_target=st.floats(-14.0, 0.0),
+        space=st.sampled_from([ELL1, ELL2, ELLINF]),
+    )
+    def test_minimal_truncation_index(self, prefix, coeffs, ratio, log_target, space):
+        v = TailVector(prefix, coeffs, ratio)
+        target = 10.0**log_target
+        J = _minimal_truncation_index(v, target, space)
+        assert truncate(v, J, space)[1] <= target
+        assert J == v.anchor or truncate(v, J - 1, space)[1] > target
 
     def test_invariants_sweep(self):
         rng = np.random.default_rng(42)

@@ -20,6 +20,7 @@ from opquant.operators import (
     restricted_min_modulus,
     restricted_norm,
     truncate_operator,
+    window_action_matrix,
 )
 
 E1 = unit_vector(1)
@@ -130,11 +131,22 @@ class TestOperatorNorm:
 
     def test_bracket_orders(self):
         rng = np.random.default_rng(11)
-        for _ in range(50):
+        for _ in range(300):
             T = random_operator(rng)
             for space in (ELL1, ELL2, ELLINF):
                 lo, hi = operator_norm_bracket(T, space)
-                assert 0.0 <= lo <= hi + 1e-12
+                assert 0.0 <= lo == hi
+                if isinstance(T, FiniteRankPlus):
+                    # a window past block, prefix and one period sees every part of T
+                    d = T.diagonal
+                    N = T.block_size + d.prefix_values.size + d.periodic_values.size
+                    A = window_action_matrix(T, N)
+                    expected = {
+                        ELL1: np.abs(A).sum(axis=0).max(),
+                        ELL2: np.linalg.norm(A, 2),
+                        ELLINF: np.abs(A).sum(axis=1).max(),
+                    }[space]
+                    assert hi == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_norm_dominates_random_images(self):
         rng = np.random.default_rng(12)

@@ -139,6 +139,9 @@ class TestDeltaNabla:
     def test_alternating_window(self):
         assert delta_kK(ALT21, 8, 2, 4).value == 2.0
         assert nabla_kK(ALT21, 8, 2, 4).value == 1.0
+        # C(24, 12) = 2,704,156 outer sets: too many to enumerate
+        assert delta_kK(ALT21, 24, 1, 12, method="subset_oracle").value == 2.0
+        assert nabla_kK(ALT21, 24, 1, 12, method="subset_oracle").value == 1.0
 
     def test_alternating_matches_double_enumeration(self):
         moduli = np.abs(ALT21.entries(8))
@@ -200,18 +203,26 @@ class TestSubsetWitnesses:
 
     def test_witness_lex_order_matches_enumeration(self):
         rng = np.random.default_rng(25)
-        for _ in range(30):
+        for _ in range(100):
             n = int(rng.integers(2, 7))
             # coarse grid forces frequent ties
             moduli = rng.integers(0, 3, size=n).astype(float)
             k = int(rng.integers(1, n + 1))
-            for quantity, pick in (("Gamma", max), ("Tau", min)):
-                _, witness = coordinate_subset_value(moduli, quantity, k)
+            K = int(rng.integers(k, n + 1))
+            # the k-th smallest (Delta) or largest (Nabla) of a K-set is its inner optimum
+            for quantity, size, pick, smaller_wins in (
+                ("Gamma", k, max, True),
+                ("Tau", k, min, False),
+                ("Delta", K, lambda vals: sorted(vals)[k - 1], False),
+                ("Nabla", K, lambda vals: sorted(vals)[K - k], True),
+            ):
+                value, witness = coordinate_subset_value(moduli, quantity, k, K)
                 best, first = None, None
-                for combo in itertools.combinations(range(n), k):
-                    v = pick(moduli[j] for j in combo)
-                    if best is None or (v < best if quantity == "Gamma" else v > best):
+                for combo in itertools.combinations(range(n), size):
+                    v = pick([moduli[j] for j in combo])
+                    if best is None or (v < best if smaller_wins else v > best):
                         best, first = v, combo
+                assert value == best
                 assert witness == tuple(j + 1 for j in first)
 
 
