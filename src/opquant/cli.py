@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -70,8 +71,53 @@ class ExperimentConfig:
         return data
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _dumps(obj) -> str:
+    """Exactly json.dumps(obj, indent=2) + "\\n" for str-keyed JSON values.
+
+    json falls back to its pure-Python encoder whenever indent is set.
+    Here only dicts and lists holding containers are walked in Python;
+    every list of plain scalars is one C-encoder call whose item
+    separator carries the newline and the indentation.
+    """
+    parts: list[str] = []
+    _encode(obj, "\n", parts)
+    return "".join(parts) + "\n"
+
+
+def _encode(obj, outer: str, parts: list) -> None:
+    inner = outer + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        separator = "{" + inner
+        for key, value in obj.items():
+            parts += (separator, encode_basestring_ascii(key), ": ")
+            _encode(value, inner, parts)
+            separator = "," + inner
+        parts.append(outer + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+        elif _SCALAR_TYPES.issuperset(map(type, obj)):
+            body = json.dumps(obj, separators=("," + inner, ": "))
+            parts.append("[" + inner + body[1:-1] + outer + "]")
+        else:
+            separator = "[" + inner
+            for value in obj:
+                parts.append(separator)
+                _encode(value, inner, parts)
+                separator = "," + inner
+            parts.append(outer + "]")
+    else:
+        parts.append(json.dumps(obj))
+
+
 def serialize_config(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2) + "\n"
+    return _dumps(config.to_dict())
 
 
 def _require(condition: bool, message: str) -> None:
@@ -251,7 +297,7 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _dumps(self.to_dict())
 
 
 def _violation(name: str, measured: float, bound: float, slack: float) -> dict:
@@ -493,7 +539,7 @@ def emit_test_vectors(
             "ratios": ratios,
         },
     }
-    Path(out).write_text(json.dumps(bundle, indent=2) + "\n", encoding="utf-8")
+    Path(out).write_text(_dumps(bundle), encoding="utf-8")
     return bundle
 
 

@@ -53,6 +53,9 @@ from .seqspace import (
 BIORTHOGONAL_TOL = 1e-10
 DEGENERATE_PROJECTION = 1e-8
 INEQUALITY_SLACK = 1e-9
+# Largest truncation window materialised (32 MiB of float64); benchmark
+# and test windows stay below 70,000 coordinates.
+MAX_WINDOW = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +309,15 @@ def _minimal_truncation_index(v: TailVector, target: float, space: SpaceConfig) 
     return J
 
 
+def _window_coords(v: TailVector, J: int, step: str) -> np.ndarray:
+    """Coordinates 1..J of v, refusing windows above MAX_WINDOW before allocating."""
+    if J > MAX_WINDOW:
+        raise BudgetInfeasible(
+            f"{step} needs a window of {J} coordinates, above the cap of {MAX_WINDOW}"
+        )
+    return v.coords(J)
+
+
 def _window_kernel_projection(
     head: np.ndarray, functionals: Sequence[LinearFunctional]
 ) -> Optional[np.ndarray]:
@@ -335,7 +347,8 @@ def build_core_approximants(
 
     Half of each budget buys the truncation index, the rest covers the
     kernel-projection correction; the realized distance is measured
-    exactly and the window doubles until it fits.
+    exactly and the window doubles until it fits.  A window above
+    MAX_WINDOW raises BudgetInfeasible.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
@@ -354,18 +367,14 @@ def build_core_approximants(
             continue
         bound = budget_bound(n, epsilon, c, T_norm)
         J = max(_minimal_truncation_index(m, bound / 2.0, system.space), len(stack) + 1)
-        z = None
-        for _ in range(60):
-            projected = _window_kernel_projection(m.coords(J), stack)
+        while True:
+            projected = _window_kernel_projection(_window_coords(m, J, f"step {n}"), stack)
             if projected is not None:
-                candidate = TailVector(projected)
-                distance = norm(linear_combine([1.0, -1.0], [candidate, m]), system.space)
-                if distance <= bound:
-                    z, gap = candidate, distance
+                z = TailVector(projected)
+                gap = norm(linear_combine([1.0, -1.0], [z, m]), system.space)
+                if gap <= bound:
                     break
             J *= 2
-        if z is None:
-            raise BudgetInfeasible(f"step {n} could not meet budget {bound}")
         zs.append(z)
         realized.append(gap)
     defects = [linear_combine([1.0, -1.0], [z, m]) for z, m in zip(zs, system.vectors)]
@@ -467,7 +476,8 @@ def check_dense_intersection(
 
     Random vectors are projected into the intersection, then matched by
     finitely supported members built from truncation plus exact window
-    projection, doubling the window until within tol.
+    projection, doubling the window until within tol; a window above
+    MAX_WINDOW raises BudgetInfeasible.
     """
     if functionals:
         _check_positive_definite(
@@ -480,7 +490,7 @@ def check_dense_intersection(
     max_distance = 0.0
     max_index = 0
     base = max([f.representer.anchor for f in functionals], default=0)
-    for _ in range(samples):
+    for i in range(samples):
         anchor = int(rng.integers(0, 5))
         prefix = rng.standard_normal(anchor)
         if ratios:
@@ -494,9 +504,9 @@ def check_dense_intersection(
         if norm(m) == 0.0:
             continue
         J = max(m.anchor, base, 8)
-        distance = math.inf
-        for _ in range(60):
-            projected = _window_kernel_projection(m.coords(J), functionals)
+        while True:
+            head = _window_coords(m, J, f"lemma sample {i}")
+            projected = _window_kernel_projection(head, functionals)
             if projected is not None:
                 e = TailVector(projected)
                 distance = norm(linear_combine([1.0, -1.0], [e, m]))

@@ -149,8 +149,8 @@ class TailVector:
 
     def to_dict(self) -> dict:
         return {
-            "prefix": [float(x) for x in self.prefix],
-            "tail_coeffs": [float(x) for x in self.tail_coeffs],
+            "prefix": self.prefix.tolist(),
+            "tail_coeffs": self.tail_coeffs.tolist(),
             "tail_ratio": float(self.tail_ratio),
         }
 

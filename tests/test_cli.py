@@ -5,16 +5,21 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opquant.cli import (
     ExperimentConfig,
+    _dumps,
     emit_test_vectors,
     parse_config,
     run,
     serialize_config,
 )
 from opquant.errors import ConfigError
+from opquant.sampling import odd_coordinate_witness
 
 MINIMAL = {
     "space": {"p": 2},
@@ -244,6 +249,100 @@ class TestVectors:
         assert a.read_bytes()
 
 
+def indent_dumps(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(10**40)]),
+    FLOATS,
+    st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), float("-inf")]),
+    FLOATS.map(np.float64),
+    st.text(),
+    st.text(alphabet='"\\/\n\t\x00\x1f\x7féü☃\U0001d11e a'),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(SCALARS),
+        st.dictionaries(st.text(), children),
+    ),
+    max_leaves=25,
+)
+
+INVARIANCE_99 = {
+    "space": {"p": 2},
+    "operator": {"kind": "diagonal", "periodic": [2.0, 1.0]},
+    "experiment": "invariance_case",
+    "parameters": {
+        "part": "Delta",
+        "epsilon": 0.1,
+        "witness": [v.to_dict() for v in odd_coordinate_witness(3, 0.99).basis],
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def long_tail_report():
+    return run(parse(INVARIANCE_99))
+
+
+class TestReportBytes:
+    @settings(max_examples=300)
+    @given(JSON_VALUES)
+    def test_matches_indent_dumps(self, obj):
+        assert _dumps(obj) == indent_dumps(obj)
+
+    def test_every_experiment_kind(self, long_tail_report):
+        configs = [
+            MINIMAL,
+            {
+                "space": {"p": 2},
+                "operator": {"kind": "dense", "block": [[1.0, 0.2], [0.0, 0.5]]},
+                "experiment": "construction_suite",
+                "parameters": {"epsilon": 0.1, "c": 1.0, "systems": 2, "combos": 5},
+            },
+            {
+                "space": {"p": 2},
+                "experiment": "lemma_check",
+                "parameters": {"functionals": 2, "samples": 20, "tol": 1e-8},
+            },
+        ]
+        reports = [run(parse(data)) for data in configs] + [long_tail_report]
+        assert [r.config.experiment for r in reports] == [
+            "quantities",
+            "construction_suite",
+            "lemma_check",
+            "invariance_case",
+        ]
+        for report in reports:
+            assert report.to_json() == indent_dumps(report.to_dict())
+        assert len(long_tail_report.results[0]["constructed_L"]["basis"][0]["prefix"]) > 300
+
+    def test_config_and_vectors(self, tmp_path):
+        config = parse(INVARIANCE_99)
+        assert serialize_config(config) == indent_dumps(config.to_dict())
+        out = tmp_path / "bundle.json"
+        bundle = emit_test_vectors(config, str(out))
+        assert out.read_text(encoding="utf-8") == indent_dumps(bundle)
+
+    def test_never_uses_the_python_encoder(self, long_tail_report, monkeypatch):
+        # json builds this only when indent is set, and then encodes in Python
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            json.dumps([1.0], indent=2)
+        assert long_tail_report.to_json()
+
+
 def cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("OPQUANT_SEED", None)
@@ -284,6 +383,15 @@ class TestCommandLine:
         assert "experiment" in result.stderr
         missing = cli("run", "--config", str(tmp_path / "absent.json"))
         assert missing.returncode == 2
+
+    def test_run_exit_two_on_window_cap(self, tmp_path):
+        witness = [{"prefix": [], "tail_coeffs": [1.0], "tail_ratio": 1.0 - 1e-9}]
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(with_params(INVARIANCE_99, part="Gamma", witness=witness)))
+        result = cli("run", "--config", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: step 1 needs a window of")
 
     def test_quantities_letter_aliases(self):
         result = cli(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from opquant import (
     ELL1,
     ELL2,
     ELLINF,
+    BudgetInfeasible,
     Diagonal,
     ExhaustedSubspace,
     FiniteRankPlus,
@@ -41,7 +43,8 @@ from opquant import (
     verify_near_isometry,
     verify_transfer_bounds,
 )
-from opquant.construction import _minimal_truncation_index, _sub_basis_eigs
+from opquant import construction
+from opquant.construction import MAX_WINDOW, _minimal_truncation_index, _sub_basis_eigs
 from opquant.errors import DegenerateBasis, DegenerateFunctionals
 from opquant.sampling import (
     odd_coordinate_witness,
@@ -187,7 +190,7 @@ class TestCoreApproximants:
         assert ca.budgets[0] == pytest.approx(2.0 ** -6, rel=1e-12)
         assert ca.budgets[0] <= budget_bound(1, 0.1, 1.0, 1.0)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         prefix=st.lists(st.floats(-2.0, 2.0), max_size=4),
         coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
@@ -201,6 +204,20 @@ class TestCoreApproximants:
         J = _minimal_truncation_index(v, target, space)
         assert truncate(v, J, space)[1] <= target
         assert J == v.anchor or truncate(v, J - 1, space)[1] > target
+
+    def test_window_cap(self):
+        # r = 1 - 1e-9 asks for J of about 3.7e9 coordinates at eps = 0.1
+        m = TailVector((), (1.0,), 1.0 - 1e-9)
+        system = build_biorthogonal(Subspace((m,)), 1)
+        assert _minimal_truncation_index(m, budget_bound(1, 0.1, 1.0, 1.0) / 2.0, ELL2) > MAX_WINDOW
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetInfeasible, match="step 1 needs a window of"):
+                build_core_approximants(system, IDENT, 0.1, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_invariants_sweep(self):
         rng = np.random.default_rng(42)
@@ -405,6 +422,14 @@ class TestDenseIntersection:
             report = check_dense_intersection(fs, samples=60, tol=1e-8, seed=count)
             assert report["passed"], report
             assert report["functional_count"] == count
+
+    def test_window_cap(self, monkeypatch):
+        # rounding in the window projection keeps the distance far above
+        # tol = 1e-300, so the window doubles until it passes the cap
+        monkeypatch.setattr(construction, "MAX_WINDOW", 2**12)
+        f = functional_from_representer(TailVector((1.0,), (1.0,), 0.5), ELL2)
+        with pytest.raises(BudgetInfeasible, match="lemma sample 0 needs a window of 8192"):
+            check_dense_intersection([f], samples=1, tol=1e-300, seed=0)
 
     def test_dependent_functionals_rejected(self):
         f = functional_from_representer(unit_vector(1), ELL2)
