@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -56,6 +56,9 @@ INEQUALITY_SLACK = 1e-9
 # Largest truncation window materialised (32 MiB of float64); benchmark
 # and test windows stay below 70,000 coordinates.
 MAX_WINDOW = 2**22
+# Largest count of coordinate sub-basis patterns (2^dim - 1) that the
+# Delta/Nabla check enumerates: witnesses up to dimension 10.
+MAX_SUB_BASIS_PATTERNS = 2**10
 
 
 @dataclass(frozen=True, eq=False)
@@ -557,24 +560,23 @@ class CaseReport:
         }
 
 
-def sub_basis_coefficients(dim: int, samples: int, seed: int) -> list[np.ndarray]:
-    """Coordinate-pattern selections plus seeded random mixings.
+def sub_basis_coefficients(dim: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Coordinate-pattern selections plus seeded random mixings, lazily.
 
     Each entry is a dim x r coefficient matrix; columns define a
-    sub-basis of any dim-length basis.
+    sub-basis of any dim-length basis.  There are 2^dim - 1 patterns, so
+    run_invariance_case refuses witnesses above MAX_SUB_BASIS_PATTERNS.
     """
-    out = []
     for r in range(1, dim + 1):
         for pattern in combinations(range(dim), r):
             m = np.zeros((dim, r))
             for col, row in enumerate(pattern):
                 m[row, col] = 1.0
-            out.append(m)
+            yield m
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         r = int(rng.integers(1, dim + 1))
-        out.append(rng.standard_normal((dim, r)))
-    return out
+        yield rng.standard_normal((dim, r))
 
 
 def _sub_basis_eigs(gram_t: np.ndarray, gram_v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -610,6 +612,11 @@ def run_invariance_case(
         raise ValueError(f"delta must be positive, got {delta}")
     if all(b.has_zero_tail for b in witness_M.basis):
         raise InvalidWitness("witness basis lies inside the core; nothing to approximate")
+    if part in ("Delta", "Nabla") and 2**witness_M.dim - 1 > MAX_SUB_BASIS_PATTERNS:
+        raise InvalidWitness(
+            f"{part} needs {2**witness_M.dim - 1} sub-basis patterns for a witness of "
+            f"dimension {witness_M.dim}, above the cap of {MAX_SUB_BASIS_PATTERNS}"
+        )
     rmin, rnorm = restricted_extremes(T, witness_M)
     if part == "Gamma":
         witness_quantity, c = rnorm, rnorm * (1.0 + delta)

@@ -281,15 +281,40 @@ def restricted_extremes(T: Operator, M: Subspace) -> tuple[float, float]:
     return math.sqrt(float(eigs[0])), math.sqrt(float(eigs[-1]))
 
 
+# Largest window matrix built, in float64 entries (128 MiB); the search
+# bounds its stacked frames by the same figure.
+MAX_WINDOW_ENTRIES = 2**24
+
+
+def _window_rows(T: Operator, N: int) -> int:
+    if isinstance(T, Diagonal):
+        return N
+    if isinstance(T, WeightedShift):
+        return N + 1
+    if isinstance(T, FiniteRankPlus):
+        return max(N, T.block_size)
+    if isinstance(T, DenseMatrix):
+        return max(N, T.size)
+    raise TypeError(f"not an operator: {T!r}")
+
+
 def window_action_matrix(T: Operator, N: int) -> np.ndarray:
     """Matrix of the true action on span{e_1..e_N}, spill rows included.
 
     Column j holds the full image T e_j, so Gram computations on this
     matrix agree exactly with apply() on finitely supported vectors,
-    unlike the square compression which drops coordinates past N.
+    unlike the square compression which drops coordinates past N.  A
+    matrix above MAX_WINDOW_ENTRIES raises BadDimensions before any
+    allocation.
     """
     if N < 1:
         raise BadDimensions(f"window size must be >= 1, got {N}")
+    rows = _window_rows(T, N)
+    if rows * N > MAX_WINDOW_ENTRIES:
+        raise BadDimensions(
+            f"window N={N} needs a matrix of {rows} rows x {N} columns, "
+            f"above the cap of {MAX_WINDOW_ENTRIES} entries"
+        )
     if isinstance(T, Diagonal):
         return np.diag(T.entries(N))
     if isinstance(T, WeightedShift):
@@ -297,19 +322,15 @@ def window_action_matrix(T: Operator, N: int) -> np.ndarray:
         m[np.arange(1, N + 1), np.arange(N)] = T.weights(N)
         return m
     if isinstance(T, FiniteRankPlus):
-        rows = max(N, T.block_size)
         m = np.zeros((rows, N))
         m[:N, :N] = np.diag(T.diagonal.entries(N))
         b = min(T.block_size, N)
         m[: T.block_size, :b] += T.block[:, :b]
         return m
-    if isinstance(T, DenseMatrix):
-        rows = max(N, T.size)
-        m = np.zeros((rows, N))
-        c = min(T.size, N)
-        m[: T.size, :c] = T.matrix[:, :c]
-        return m
-    raise TypeError(f"not an operator: {T!r}")
+    m = np.zeros((rows, N))
+    c = min(T.size, N)
+    m[: T.size, :c] = T.matrix[:, :c]
+    return m
 
 
 def truncate_operator(T: Operator, N: int) -> DenseMatrix:

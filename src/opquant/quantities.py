@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import operators
 from .errors import BadDimensions
 from .operators import (
     DenseMatrix,
@@ -130,14 +131,6 @@ def coordinate_subset_value(
     return value, tuple(int(j) + 1 for j in np.flatnonzero(keep)[:size])
 
 
-def _orthonormal_complement(Q: np.ndarray) -> np.ndarray:
-    n, m = Q.shape
-    if m == 0:
-        return np.eye(n)
-    full, _ = np.linalg.qr(np.hstack([Q, np.eye(n)]), mode="complete")
-    return full[:, m:]
-
-
 def _alternating_search(
     A: np.ndarray, dim: int, obj_index: int, maximize: bool, restarts: int, seed: int
 ) -> tuple[float, np.ndarray]:
@@ -147,36 +140,51 @@ def _alternating_search(
     (obj_index+1)-th largest singular value of A Q.  Each step drops the
     basis direction of the worst singular value and replaces it with the
     extremal direction of the complement, keeping strict improvements.
+
+    The restarts advance in lockstep as stacked (restarts, N, dim)
+    frames, at most MAX_WINDOW_ENTRIES // (rows (N + dim)) per stack, so
+    no stacked array outgrows one capped window; a restart leaves the
+    stack at its first step that does not improve.
+    Stacked linalg computes each frame exactly as a per-frame call
+    would, so the result is the first best frame in restart order.
     """
     if restarts < 1:
         raise BadDimensions(f"restarts must be >= 1, got {restarts}")
     n = A.shape[1]
-
-    def objective(Q: np.ndarray) -> float:
-        s = np.linalg.svd(A @ Q, compute_uv=False)
-        return float(s[obj_index])
-
+    drop = dim - 1 if maximize else 0
+    pick = 0 if maximize else -1
+    stack = max(1, operators.MAX_WINDOW_ENTRIES // (A.shape[0] * (n + dim)))
     rng = np.random.default_rng(seed)
     best_val = None
     best_Q = None
-    for _ in range(restarts):
-        Q, _ = np.linalg.qr(rng.standard_normal((n, dim)))
-        val = objective(Q)
+    for start in range(0, restarts, stack):
+        size = min(stack, restarts - start)
+        Q, _ = np.linalg.qr(rng.standard_normal((size, n, dim)))
+        val = np.linalg.svd(A @ Q, compute_uv=False)[:, obj_index]
+        eye = np.broadcast_to(np.eye(n), (size, n, n))
+        active = np.arange(size)
         for _ in range(200):
-            _, _, Vt = np.linalg.svd(A @ Q, full_matrices=False)
-            drop = dim - 1 if maximize else 0
-            kept = Q @ np.delete(Vt, drop, axis=0).T
-            C = _orthonormal_complement(kept)
-            _, _, Vct = np.linalg.svd(A @ C, full_matrices=False)
-            w = C @ (Vct[0] if maximize else Vct[-1])
-            candidate = np.hstack([kept, w[:, None]])
-            cand_val = objective(candidate)
-            better = cand_val > val + 1e-14 * (1.0 + abs(val)) if maximize else cand_val < val - 1e-14 * (1.0 + abs(val))
-            if not better:
+            if active.size == 0:
                 break
-            Q, val = candidate, cand_val
-        if best_val is None or (val > best_val if maximize else val < best_val):
-            best_val, best_Q = val, Q
+            Qa, va = Q[active], val[active]
+            _, _, Vt = np.linalg.svd(A @ Qa, full_matrices=False)
+            kept = Qa @ np.delete(Vt, drop, axis=1).swapaxes(1, 2)
+            if dim == 1:
+                C = eye[: active.size]
+            else:
+                full, _ = np.linalg.qr(np.concatenate([kept, eye[: active.size]], axis=2), mode="complete")
+                C = full[:, :, dim - 1 :]
+            _, _, Vct = np.linalg.svd(A @ C, full_matrices=False)
+            candidate = np.concatenate([kept, C @ Vct[:, pick, :, None]], axis=2)
+            cand_val = np.linalg.svd(A @ candidate, compute_uv=False)[:, obj_index]
+            tol = 1e-14 * (1.0 + np.abs(va))
+            better = cand_val > va + tol if maximize else cand_val < va - tol
+            active = active[better]
+            Q[active] = candidate[better]
+            val[active] = cand_val[better]
+        i = int(np.argmax(val) if maximize else np.argmin(val))
+        if best_val is None or (val[i] > best_val if maximize else val[i] < best_val):
+            best_val, best_Q = float(val[i]), Q[i]
     return best_val, best_Q
 
 

@@ -393,6 +393,27 @@ class TestCommandLine:
         assert result.stdout == ""
         assert result.stderr.startswith("error: step 1 needs a window of")
 
+    def test_quantities_exit_two_on_window_cap(self):
+        # the window matrix would hold 100001 x 100000 float64 entries (74.5 GiB)
+        result = cli(
+            "quantities",
+            "--op", '{"kind": "shift", "periodic": [1.0, 0.5]}',
+            "--quantity", "G",
+            "--schedule", "[[100000, 1, 1]]",
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: window N=100000 needs a matrix of 100001 rows")
+
+    def test_run_exit_two_on_sub_basis_cap(self, tmp_path):
+        witness = [v.to_dict() for v in odd_coordinate_witness(11, 0.5, anchor=22).basis]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(with_params(INVARIANCE_99, part="Nabla", witness=witness)))
+        result = cli("run", "--config", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: Nabla needs 2047 sub-basis patterns")
+
     def test_quantities_letter_aliases(self):
         result = cli(
             "quantities",

@@ -471,6 +471,22 @@ class TestInvarianceCases:
         b = run_invariance_case(ALT12, "Delta", odd_coordinate_witness(), 0.1, 0.05, seed=5)
         assert a.measured == b.measured and a.c == b.c
 
+    def test_sub_basis_cap(self, monkeypatch):
+        # 2^11 - 1 = 2047 coordinate patterns, above the cap of 1024
+        M = odd_coordinate_witness(11, 0.5, anchor=22)
+
+        def unreachable(*args):
+            raise AssertionError("the cap is checked before any construction")
+
+        monkeypatch.setattr(construction, "restricted_extremes", unreachable)
+        for part in ("Delta", "Nabla"):
+            with pytest.raises(InvalidWitness, match="2047 sub-basis patterns .* dimension 11"):
+                run_invariance_case(IDENT, part, M, 0.1, 0.1)
+
+    def test_sub_bases_are_lazy(self):
+        first = next(sub_basis_coefficients(40, 0, seed=0))
+        np.testing.assert_array_equal(first, np.eye(40)[:, :1])
+
     def test_finite_witness_rejected(self):
         M = Subspace((unit_vector(1), unit_vector(2)))
         with pytest.raises(InvalidWitness):

@@ -1,12 +1,14 @@
 """Tests for structured operators: application, norms, restrictions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from opquant import ELL1, ELL2, ELLINF, BadDimensions, DegenerateBasis, Subspace, TailVector
 from opquant import linear_combine, norm, scaled, unit_vector
+from opquant import operators
 from opquant.operators import (
     DenseMatrix,
     Diagonal,
@@ -215,6 +217,30 @@ class TestRestrictedNorms:
             shift = WeightedShift(rng.standard_normal(2), rng.standard_normal(2))
             sub_s = truncate_operator(shift, n + 1).matrix[:, cols]
             assert restricted_norm(shift, M) == pytest.approx(np.linalg.norm(sub_s, 2), abs=1e-9)
+
+
+class TestWindowActionMatrix:
+    def test_cap_on_rows_times_columns(self, monkeypatch):
+        monkeypatch.setattr(operators, "MAX_WINDOW_ENTRIES", 42)
+        shift = WeightedShift(periodic_values=(1.0, 0.5))
+        assert window_action_matrix(shift, 6).shape == (7, 6)
+        with pytest.raises(BadDimensions, match=r"N=7 needs a matrix of 8 rows x 7 columns"):
+            window_action_matrix(shift, 7)
+        block = DenseMatrix(np.ones((14, 14)))
+        assert window_action_matrix(block, 3).shape == (14, 3)
+        with pytest.raises(BadDimensions, match=r"N=4 needs a matrix of 14 rows"):
+            window_action_matrix(block, 4)
+
+    def test_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for T in (IDENT, WeightedShift(periodic_values=(1.0, 0.5))):
+                with pytest.raises(BadDimensions, match="N=100000"):
+                    window_action_matrix(T, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestTruncateOperator:

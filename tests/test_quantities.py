@@ -1,9 +1,12 @@
 """Tests for the window quantities: oracles, search, limits, ordering."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opquant import (
     BadDimensions,
@@ -26,6 +29,10 @@ from opquant import (
     unit_vector,
     window_action_matrix,
 )
+from opquant import operators
+from opquant.cli import parse_config, run
+from opquant.operators import operator_from_dict
+from opquant.quantities import _alternating_search
 
 IDENT = Diagonal(periodic_values=(1.0,))
 ZERO = Diagonal(periodic_values=(0.0,))
@@ -282,6 +289,150 @@ class TestGrassmann:
         exact_n = nabla_kK(ALT21, 6, 1, 2).value
         assert n.value >= exact_n - 1e-9
         assert n.bracket[1] == n.value
+
+
+def sequential_search(A, dim, obj_index, maximize, restarts, seed):
+    """The search as a plain loop over restarts, one frame at a time."""
+    n = A.shape[1]
+
+    def complement(Q):
+        m = Q.shape[1]
+        if m == 0:
+            return np.eye(n)
+        full, _ = np.linalg.qr(np.hstack([Q, np.eye(n)]), mode="complete")
+        return full[:, m:]
+
+    def objective(Q):
+        return float(np.linalg.svd(A @ Q, compute_uv=False)[obj_index])
+
+    rng = np.random.default_rng(seed)
+    best_val = best_Q = None
+    for _ in range(restarts):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, dim)))
+        val = objective(Q)
+        for _ in range(200):
+            _, _, Vt = np.linalg.svd(A @ Q, full_matrices=False)
+            kept = Q @ np.delete(Vt, dim - 1 if maximize else 0, axis=0).T
+            C = complement(kept)
+            _, _, Vct = np.linalg.svd(A @ C, full_matrices=False)
+            w = C @ (Vct[0] if maximize else Vct[-1])
+            candidate = np.hstack([kept, w[:, None]])
+            cand_val = objective(candidate)
+            tol = 1e-14 * (1.0 + abs(val))
+            if not (cand_val > val + tol if maximize else cand_val < val - tol):
+                break
+            Q, val = candidate, cand_val
+        if best_val is None or (val > best_val if maximize else val < best_val):
+            best_val, best_Q = val, Q
+    return best_val, best_Q
+
+
+def search_objectives(dim, k):
+    """(obj_index, maximize) of Gamma, Tau, Delta and Nabla with inner dimension k."""
+    return ((0, False), (k - 1, True), (dim - k, True), (k - 1, False))
+
+
+def assert_same_search(A, dim, obj_index, maximize, restarts, seed):
+    value, frame = _alternating_search(A, dim, obj_index, maximize, restarts, seed)
+    ref_value, ref_frame = sequential_search(A, dim, obj_index, maximize, restarts, seed)
+    assert value == ref_value
+    assert np.array_equal(frame, ref_frame)
+
+
+@st.composite
+def search_windows(draw):
+    N = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("dense", "shift", "finite_rank_plus")))
+    if kind == "dense":
+        size = draw(st.integers(1, 10))
+        spec = {"kind": "dense", "block": rng.standard_normal((size, size)).tolist()}
+    elif kind == "shift":
+        spec = {
+            "kind": "shift",
+            "prefix": rng.standard_normal(draw(st.integers(0, 4))).tolist(),
+            "periodic": rng.standard_normal(draw(st.integers(1, 3))).tolist(),
+        }
+    else:
+        size = draw(st.integers(1, 5))
+        spec = {
+            "kind": "finite_rank_plus",
+            "prefix": rng.standard_normal(draw(st.integers(0, 3))).tolist(),
+            "periodic": rng.standard_normal(draw(st.integers(1, 2))).tolist(),
+            "block": rng.standard_normal((size, size)).tolist(),
+        }
+    return window_action_matrix(operator_from_dict(spec), N)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Leading sizes of the standard_normal draws of every seeded generator."""
+    sizes = []
+    real_rng = np.random.default_rng
+
+    class RecordingRng:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def standard_normal(self, shape):
+            sizes.append(shape[0])
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+    return sizes
+
+
+class TestStackedSearch:
+    """The stacked search gives the sequential loop's value and frame, bit for bit."""
+
+    @settings(max_examples=200)
+    @given(search_windows(), st.data(), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_matches_sequential_loop(self, A, data, restarts, seed):
+        n = A.shape[1]
+        dim = data.draw(st.integers(1, n))
+        k = data.draw(st.integers(1, dim))
+        obj_index, maximize = data.draw(st.sampled_from(search_objectives(dim, k)))
+        assert_same_search(A, dim, obj_index, maximize, restarts, seed)
+
+    @pytest.mark.parametrize("T", [IDENT, ALT21, D1234], ids=["identity", "alternating", "d1234"])
+    def test_full_window_and_single_restart(self, T):
+        A = window_action_matrix(T, 5)
+        for dim in (1, 3, 5):
+            for obj_index, maximize in search_objectives(dim, (dim + 1) // 2):
+                for restarts, seed in ((1, 0), (9, 4)):
+                    assert_same_search(A, dim, obj_index, maximize, restarts, seed)
+
+    @pytest.mark.parametrize("per_stack", [1, 5])
+    def test_stacks_under_a_lowered_cap(self, monkeypatch, draws, per_stack):
+        # 13 restarts run as 13 stacks of 1, or as 5 + 5 + 3
+        rng = np.random.default_rng(33)
+        windows = [window_action_matrix(T, 6) for T in (IDENT, ALT21, DenseMatrix(rng.standard_normal((6, 6))))]
+        for A in windows:
+            for dim in (1, 3):
+                monkeypatch.setattr(operators, "MAX_WINDOW_ENTRIES", per_stack * 6 * (6 + dim))
+                for obj_index, maximize in search_objectives(dim, dim):
+                    ref_value, ref_frame = sequential_search(A, dim, obj_index, maximize, 13, 2)
+                    draws.clear()
+                    value, frame = _alternating_search(A, dim, obj_index, maximize, 13, 2)
+                    assert draws == ([1] * 13 if per_stack == 1 else [5, 5, 3])
+                    assert value == ref_value
+                    assert np.array_equal(frame, ref_frame)
+
+    def test_report_bytes_in_stacks_of_one(self, monkeypatch, draws):
+        config = parse_config(json.dumps({
+            "space": {"p": 2},
+            "operator": {"kind": "dense", "block": np.random.default_rng(34).standard_normal((6, 6)).tolist()},
+            "experiment": "quantities",
+            "parameters": {"quantity": "Tau", "schedule": [[6, 3, 3]], "method": "grassmann_search", "restarts": 16},
+        }))
+        draws.clear()
+        expected = run(config).to_json()
+        assert draws == [16]
+        # one frame per stack, and the 6 x 6 window still fits
+        monkeypatch.setattr(operators, "MAX_WINDOW_ENTRIES", 6 * (6 + 3))
+        draws.clear()
+        assert run(config).to_json() == expected
+        assert draws == [1] * 16
 
 
 class TestEstimateInvariants:
