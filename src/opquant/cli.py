@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .construction import (
-    PARTS,
     build_biorthogonal,
     build_core_approximants,
     check_coefficient_bound,
@@ -33,12 +32,12 @@ from .construction import (
 )
 from .errors import ConfigError, OpquantError, ZeroVector
 from .operators import Diagonal, Operator, operator_from_dict, window_action_matrix
-from .quantities import QUANTITIES, limit_estimate, svd_oracle
+from .quantities import _SHAPES, METHODS, QUANTITIES, _descending_index, limit_estimate, svd_oracle
 from .sampling import odd_coordinate_witness, sample_lemma_functionals, sample_witness_subspace
 from .seqspace import ELL2, SpaceConfig, Subspace, TailVector, norm, space_from_tag
 
 EXPERIMENTS = ("quantities", "construction_suite", "invariance_case", "lemma_check")
-METHOD_CHOICES = ("auto", "svd_oracle", "subset_oracle", "grassmann_search")
+METHOD_CHOICES = ("auto", *METHODS)
 
 # single-letter aliases accepted on the command line
 QUANTITY_LETTERS = {"G": "Gamma", "D": "Delta", "T": "Tau", "N": "Nabla"}
@@ -208,7 +207,7 @@ def _parse_parameters(raw, experiment: str) -> dict:
         )
     if "part" in params:
         _require(
-            params["part"] in PARTS,
+            params["part"] in QUANTITIES,
             "parameters.part: must be one of Gamma, Tau, Delta, Nabla",
         )
     if "method" in params:
@@ -414,12 +413,12 @@ def _run_construction(config: ExperimentConfig, seed: int, results: list, violat
 
 def _case_slack(report) -> tuple[float, float]:
     measured = report.measured
+    shape = _SHAPES[report.part]
+    if shape.outer:
+        return measured["worst_margin"], measured["worst_margin"]
+    value = measured["restricted_norm_L" if shape.norm else "restricted_min_modulus_L"]
     threshold = measured["threshold"]
-    if report.part == "Gamma":
-        return measured["restricted_norm_L"], threshold - measured["restricted_norm_L"]
-    if report.part == "Tau":
-        return measured["restricted_min_modulus_L"], measured["restricted_min_modulus_L"] - threshold
-    return measured["worst_margin"], measured["worst_margin"]
+    return value, value - threshold if shape.supremum else threshold - value
 
 
 def _run_invariance(config: ExperimentConfig, seed: int, results: list, violations: list) -> None:
@@ -485,17 +484,13 @@ def emit_test_vectors(
     T = config.build_operator() if config.operator is not None else Diagonal(periodic_values=(1.0,))
     schedule = params.get("schedule") or [[4, 1, 2]]
     windows = sorted({entry[0] for entry in schedule})
-    singular_values = [
-        {"N": N, "values": [float(s) for s in svd_oracle(window_action_matrix(T, N))]}
-        for N in windows
+    values = {N: [float(s) for s in svd_oracle(window_action_matrix(T, N))] for N in windows}
+    singular_values = [{"N": N, "values": values[N]} for N in windows]
+    # each window value is one order statistic of the window's singular values
+    quantity_rows = [
+        {"N": N, "k": k, "K": K, **{q: values[N][_descending_index(q, N, k, K)] for q in QUANTITIES}}
+        for N, k, K in schedule
     ]
-    quantity_rows = []
-    for N, k, K in schedule:
-        row = {"N": N, "k": k, "K": K}
-        for quantity in ("Gamma", "Tau", "Delta", "Nabla"):
-            _, value, _ = limit_estimate(T, quantity, [(N, k, K)], method="svd_oracle", seed=seed)
-            row[quantity] = float(value)
-        quantity_rows.append(row)
 
     dim = params.get("vectors", 3)
     if "witness" in params:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
@@ -32,6 +33,7 @@ from .errors import (
     ZeroVector,
 )
 from .operators import Operator, _restricted_eigs, apply, operator_norm, restricted_extremes
+from .quantities import _SHAPES
 from .seqspace import (
     ELL2,
     LinearFunctional,
@@ -230,29 +232,32 @@ class CoreApproximation:
     """Finitely supported z_n near m_n, inside the kernel stack.
 
     The correspondence z_i -> m_i extends linearly to the bijection
-    A : span{z_n} -> span{m_n}; budgets holds the realized distances
-    ||z_n - m_n||, each within its geometric bound.
+    A : span{z_n} -> span{m_n}; defects holds the exact d_n = z_n - m_n
+    and budgets their norms ||z_n - m_n||, each within its geometric
+    bound.
 
-    The l^2 Gram matrices built here make every check on a combination
-    sum a_i z_i a quadratic form a^T G a: gram_z of the z_n, gram_defects
-    of the defects d_n = z_n - m_n, and gram_tz and gram_tm of the images
-    T z_n and T m_n under operator, the T the approximants were built
-    with (the m_n themselves have system.gram_m).  gram_defects comes
+    The l^2 Gram matrices make every check on a combination sum a_i z_i a
+    quadratic form a^T G a: gram_z of the z_n, gram_defects of the d_n,
+    and gram_tz and gram_tm of the images T z_n and T m_n under operator,
+    the T the approximants were built with (the m_n themselves have
+    system.gram_m).  Each is built on first read.  gram_defects comes
     from the exact differences: expanding ||z - Az||^2 through gram_z and
     gram_m would lose the 1e-9 inequality slack to cancellation.
     """
 
     system: BiorthogonalSystem
     z: tuple[TailVector, ...]
+    defects: tuple[TailVector, ...]
     budgets: tuple[float, ...]
     epsilon: float
     c: float
     T_norm: float
     operator: Operator
-    gram_z: np.ndarray
-    gram_defects: np.ndarray
-    gram_tz: np.ndarray
-    gram_tm: np.ndarray
+
+    gram_z = cached_property(lambda self: gram(self.z))
+    gram_defects = cached_property(lambda self: gram(self.defects))
+    gram_tz = cached_property(lambda self: _image_gram(self.operator, self.z))
+    gram_tm = cached_property(lambda self: _image_gram(self.operator, self.targets))
 
     @property
     def targets(self) -> tuple[TailVector, ...]:
@@ -312,15 +317,6 @@ def _minimal_truncation_index(v: TailVector, target: float, space: SpaceConfig) 
     return J
 
 
-def _window_coords(v: TailVector, J: int, step: str) -> np.ndarray:
-    """Coordinates 1..J of v, refusing windows above MAX_WINDOW before allocating."""
-    if J > MAX_WINDOW:
-        raise BudgetInfeasible(
-            f"{step} needs a window of {J} coordinates, above the cap of {MAX_WINDOW}"
-        )
-    return v.coords(J)
-
-
 def _window_kernel_projection(
     head: np.ndarray, functionals: Sequence[LinearFunctional]
 ) -> Optional[np.ndarray]:
@@ -343,6 +339,30 @@ def _window_kernel_projection(
     return head - g.T @ alpha
 
 
+def _core_member(
+    m: TailVector, functionals: Sequence[LinearFunctional], J: int, tol: float, what: str
+) -> tuple[TailVector, TailVector, float, int]:
+    """(z, z - m, ||z - m||, J): z in the kernels of functionals, within tol of m.
+
+    z is m truncated to coordinates 1..J and projected in the window; J
+    doubles until the exact defect fits, and a window above MAX_WINDOW
+    raises BudgetInfeasible before it is allocated.
+    """
+    while True:
+        if J > MAX_WINDOW:
+            raise BudgetInfeasible(
+                f"{what} needs a window of {J} coordinates, above the cap of {MAX_WINDOW}"
+            )
+        projected = _window_kernel_projection(m.coords(J), functionals)
+        if projected is not None:
+            z = TailVector(projected)
+            defect = linear_combine([1.0, -1.0], [z, m])
+            gap = norm(defect)
+            if gap <= tol:
+                return z, defect, gap, J
+        J *= 2
+
+
 def build_core_approximants(
     system: BiorthogonalSystem, T: Operator, epsilon: float, c: float
 ) -> CoreApproximation:
@@ -360,40 +380,17 @@ def build_core_approximants(
     if system.space.p != 2:
         raise ValueError("core approximants require p = 2")
     T_norm = operator_norm(T, system.space)
-    zs: list[TailVector] = []
-    realized: list[float] = []
+    members = []
     for n, m in enumerate(system.vectors, start=1):
-        stack = system.kernel_stack(n)
         if m.has_zero_tail:
-            zs.append(m)
-            realized.append(0.0)
+            members.append((m, linear_combine([1.0, -1.0], [m, m]), 0.0))
             continue
+        stack = system.kernel_stack(n)
         bound = budget_bound(n, epsilon, c, T_norm)
         J = max(_minimal_truncation_index(m, bound / 2.0, system.space), len(stack) + 1)
-        while True:
-            projected = _window_kernel_projection(_window_coords(m, J, f"step {n}"), stack)
-            if projected is not None:
-                z = TailVector(projected)
-                gap = norm(linear_combine([1.0, -1.0], [z, m]), system.space)
-                if gap <= bound:
-                    break
-            J *= 2
-        zs.append(z)
-        realized.append(gap)
-    defects = [linear_combine([1.0, -1.0], [z, m]) for z, m in zip(zs, system.vectors)]
-    ca = CoreApproximation(
-        system,
-        tuple(zs),
-        tuple(realized),
-        epsilon,
-        c,
-        T_norm,
-        T,
-        gram(zs),
-        gram(defects),
-        _image_gram(T, zs),
-        _image_gram(T, system.vectors),
-    )
+        members.append(_core_member(m, stack, J, bound, f"step {n}")[:3])
+    zs, defects, realized = zip(*members)
+    ca = CoreApproximation(system, zs, defects, realized, epsilon, c, T_norm, T)
     for n, (gap, z) in enumerate(zip(ca.budgets, ca.z), start=1):
         if gap > budget_bound(n, epsilon, c, T_norm):
             raise BudgetInfeasible(f"realized distance {gap} exceeds the step-{n} budget")
@@ -478,9 +475,8 @@ def check_dense_intersection(
     """Empirical density of the core inside a kernel intersection.
 
     Random vectors are projected into the intersection, then matched by
-    finitely supported members built from truncation plus exact window
-    projection, doubling the window until within tol; a window above
-    MAX_WINDOW raises BudgetInfeasible.
+    the core member of the construction step (_core_member) within tol;
+    a window above MAX_WINDOW raises BudgetInfeasible.
     """
     if functionals:
         _check_positive_definite(
@@ -506,16 +502,7 @@ def check_dense_intersection(
             m = project_into_kernels(m, functionals)
         if norm(m) == 0.0:
             continue
-        J = max(m.anchor, base, 8)
-        while True:
-            head = _window_coords(m, J, f"lemma sample {i}")
-            projected = _window_kernel_projection(head, functionals)
-            if projected is not None:
-                e = TailVector(projected)
-                distance = norm(linear_combine([1.0, -1.0], [e, m]))
-                if distance <= tol:
-                    break
-            J *= 2
+        _, _, distance, J = _core_member(m, functionals, max(m.anchor, base, 8), tol, f"lemma sample {i}")
         max_distance = max(max_distance, distance)
         max_index = max(max_index, J)
     return {
@@ -526,9 +513,6 @@ def check_dense_intersection(
         "max_window": int(max_index),
         "passed": bool(max_distance <= tol),
     }
-
-
-PARTS = ("Gamma", "Tau", "Delta", "Nabla")
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,74 +587,67 @@ def run_invariance_case(
     the minimal modulus and (1-eps)/(1+eps).  Delta and Nabla quantify
     over sub-bases V: whenever the image side satisfies its strict
     inequality against c, the preimage satisfies the transferred one.
+    Every side and extreme comes from the quantity's shape.
     """
-    if part not in PARTS:
+    if part not in _SHAPES:
         raise ValueError(f"unknown part {part!r}")
+    shape = _SHAPES[part]
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     if all(b.has_zero_tail for b in witness_M.basis):
         raise InvalidWitness("witness basis lies inside the core; nothing to approximate")
-    if part in ("Delta", "Nabla") and 2**witness_M.dim - 1 > MAX_SUB_BASIS_PATTERNS:
+    if shape.outer and 2**witness_M.dim - 1 > MAX_SUB_BASIS_PATTERNS:
         raise InvalidWitness(
             f"{part} needs {2**witness_M.dim - 1} sub-basis patterns for a witness of "
             f"dimension {witness_M.dim}, above the cap of {MAX_SUB_BASIS_PATTERNS}"
         )
     rmin, rnorm = restricted_extremes(T, witness_M)
-    if part == "Gamma":
-        witness_quantity, c = rnorm, rnorm * (1.0 + delta)
-    elif part == "Tau":
-        witness_quantity, c = rmin, rmin * (1.0 - delta)
-    elif part == "Delta":
-        witness_quantity, c = rnorm, rnorm * (1.0 - delta)
-    else:
-        witness_quantity, c = rmin, rmin * (1.0 + delta)
+    witness_quantity = rnorm if shape.norm else rmin
+    c = witness_quantity * ((1.0 - delta) if shape.supremum else (1.0 + delta))
     if c <= 0.0:
         raise InvalidWitness(f"derived constant c = {c} is not positive")
     system = build_biorthogonal(witness_M, witness_M.dim, witness_M.ambient, seed)
     ca = build_core_approximants(system, T, epsilon, c)
     L = Subspace(ca.z, witness_M.ambient)
+    lower, upper = 1.0 - epsilon, 1.0 + epsilon
+    threshold = (lower / upper if shape.supremum else upper / lower) * c
+    extreme = -1 if shape.norm else 0
     measured: dict = {"witness_quantity": witness_quantity, "c": c}
-    if part == "Gamma":
-        threshold = (1.0 + epsilon) / (1.0 - epsilon) * c
-        value = math.sqrt(float(_restricted_eigs(ca.gram_tz, ca.gram_z)[-1]))
-        measured.update({"restricted_norm_L": value, "threshold": threshold})
-        passed = value <= threshold + INEQUALITY_SLACK
-    elif part == "Tau":
-        threshold = (1.0 - epsilon) / (1.0 + epsilon) * c
-        value = math.sqrt(float(_restricted_eigs(ca.gram_tz, ca.gram_z)[0]))
-        measured.update({"restricted_min_modulus_L": value, "threshold": threshold})
-        passed = value >= threshold - INEQUALITY_SLACK
-    else:
-        tested = triggered = 0
-        worst = math.inf
-        if part == "Delta":
-            threshold = (1.0 - epsilon) / (1.0 + epsilon) * c
+    if not shape.outer:
+        value = math.sqrt(float(_restricted_eigs(ca.gram_tz, ca.gram_z)[extreme]))
+        key = "restricted_norm_L" if shape.norm else "restricted_min_modulus_L"
+        measured.update({key: value, "threshold": threshold})
+        if shape.supremum:
+            passed = value >= threshold - INEQUALITY_SLACK
         else:
-            threshold = (1.0 + epsilon) / (1.0 - epsilon) * c
-        # V = span{Z C} for Z = (z_n) and AV = span{M C} for M = (m_n)
-        for coeffs in sub_basis_coefficients(len(ca.z), sub_basis_samples, seed):
-            try:
-                v_eigs = _sub_basis_eigs(ca.gram_tz, ca.gram_z, coeffs)
-                av_eigs = _sub_basis_eigs(ca.gram_tm, ca.system.gram_m, coeffs)
-            except DegenerateBasis:
-                continue
-            tested += 1
-            if part == "Delta":
-                if math.sqrt(float(av_eigs[-1])) > c:
-                    triggered += 1
-                    worst = min(worst, math.sqrt(float(v_eigs[-1])) - threshold)
-            elif math.sqrt(float(av_eigs[0])) < c:
-                triggered += 1
-                worst = min(worst, threshold - math.sqrt(float(v_eigs[0])))
-        measured.update(
-            {
-                "sub_bases_tested": tested,
-                "sub_bases_triggered": triggered,
-                "threshold": threshold,
-                "worst_margin": worst if triggered else 0.0,
-            }
-        )
-        passed = triggered == 0 or worst >= -INEQUALITY_SLACK
+            passed = value <= threshold + INEQUALITY_SLACK
+        return CaseReport(part, c, delta, epsilon, witness_M, L, measured, passed)
+    tested = triggered = 0
+    worst = math.inf
+    # V = span{Z C} for Z = (z_n) and AV = span{M C} for M = (m_n)
+    for coeffs in sub_basis_coefficients(len(ca.z), sub_basis_samples, seed):
+        try:
+            v_eigs = _sub_basis_eigs(ca.gram_tz, ca.gram_z, coeffs)
+            av_eigs = _sub_basis_eigs(ca.gram_tm, ca.system.gram_m, coeffs)
+        except DegenerateBasis:
+            continue
+        tested += 1
+        # the image side triggers past c on the optimum's side; the margin
+        # is how far the preimage stays inside the threshold
+        av_value = math.sqrt(float(av_eigs[extreme]))
+        v_value = math.sqrt(float(v_eigs[extreme]))
+        if (av_value > c) if shape.supremum else (av_value < c):
+            triggered += 1
+            worst = min(worst, v_value - threshold if shape.supremum else threshold - v_value)
+    measured.update(
+        {
+            "sub_bases_tested": tested,
+            "sub_bases_triggered": triggered,
+            "threshold": threshold,
+            "worst_margin": worst if triggered else 0.0,
+        }
+    )
+    passed = triggered == 0 or worst >= -INEQUALITY_SLACK
     return CaseReport(part, c, delta, epsilon, witness_M, L, measured, passed)

@@ -198,12 +198,6 @@ def apply(T: Operator, v: TailVector) -> TailVector:
     raise TypeError(f"not an operator: {T!r}")
 
 
-def _matrix_norm(m: np.ndarray, space: SpaceConfig) -> float:
-    if space.p == 2:
-        return float(np.linalg.norm(m, 2))
-    return float(np.linalg.norm(m, space.p))
-
-
 def operator_norm_bracket(T: Operator, space: SpaceConfig = ELL2) -> tuple[float, float]:
     """The l^p operator norm as a collapsed [lower, upper] bracket.
 
@@ -217,13 +211,14 @@ def operator_norm_bracket(T: Operator, space: SpaceConfig = ELL2) -> tuple[float
             sup = max(sup, float(np.max(np.abs(T.prefix_values))))
         return sup, sup
     if isinstance(T, DenseMatrix):
-        value = _matrix_norm(T.matrix, space)
+        value = float(np.linalg.norm(T.matrix, space.p))
         return value, value
     if isinstance(T, FiniteRankPlus):
         B = T.block_size
         d = T.diagonal
         beyond = np.concatenate([d.prefix_values[B:], d.periodic_values])
-        value = max(_matrix_norm(T.block + np.diag(d.entries(B)), space), float(np.max(np.abs(beyond))))
+        block = T.block + np.diag(d.entries(B))
+        value = max(float(np.linalg.norm(block, space.p)), float(np.max(np.abs(beyond))))
         return value, value
     raise TypeError(f"not an operator: {T!r}")
 

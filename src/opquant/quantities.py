@@ -21,7 +21,7 @@ for general operators (one-sided bound with certified bracket).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +36,22 @@ from .operators import (
 )
 from .seqspace import ELL2, Subspace, TailVector
 
-QUANTITIES = ("Gamma", "Delta", "Tau", "Nabla")
+
+class _Shape(NamedTuple):
+    """What tells the quantities apart; every route derives from it."""
+
+    supremum: bool  # a supremum over subspaces, else an infimum
+    norm: bool  # reads the restricted norm, else the minimal modulus
+    outer: bool  # takes an outer K-dimensional M around the inner k
+
+
+_SHAPES = {
+    "Gamma": _Shape(supremum=False, norm=True, outer=False),
+    "Tau": _Shape(supremum=True, norm=False, outer=False),
+    "Delta": _Shape(supremum=True, norm=True, outer=True),
+    "Nabla": _Shape(supremum=False, norm=False, outer=True),
+}
+QUANTITIES = tuple(_SHAPES)
 METHODS = ("svd_oracle", "subset_oracle", "grassmann_search")
 
 
@@ -96,11 +111,33 @@ def _diagonal_moduli(T: Operator, N: int) -> np.ndarray:
     return np.abs(T.entries(N))
 
 
-def _descending_index(quantity: str, N: int, k: int, K: int) -> int:
-    """Position of a window value among N descending singular values."""
-    if quantity not in QUANTITIES:
+def _shape(quantity: str) -> _Shape:
+    if quantity not in _SHAPES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    return {"Gamma": N - k, "Tau": k - 1, "Delta": K - k, "Nabla": N - K + k - 1}[quantity]
+    return _SHAPES[quantity]
+
+
+def _search_args(quantity: str, k: int, K: int) -> tuple[int, int, bool]:
+    """(dim, obj_index, maximize) of _alternating_search for a quantity.
+
+    Frames have dim = K with an outer dimension, else k; in a frame the
+    inner k-dimensional optimum is, counted from the largest, singular
+    value dim - k + 1 of a norm quantity and k of a modulus quantity.
+    """
+    shape = _shape(quantity)
+    dim = K if shape.outer else k
+    return dim, dim - k if shape.norm else k - 1, shape.supremum
+
+
+def _descending_index(quantity: str, N: int, k: int, K: int) -> int:
+    """Position of a window value among N descending singular values.
+
+    By Courant-Fischer the supremum of singular value i of A Q over
+    dim-dimensional frames Q is singular value i of A, and the infimum
+    is singular value i + N - dim.
+    """
+    dim, index, supremum = _search_args(quantity, k, K)
+    return index if supremum else index + N - dim
 
 
 def coordinate_subset_value(
@@ -116,19 +153,18 @@ def coordinate_subset_value(
     index in order while the wrong ones stay within that allowance gives
     the smallest such set.
     """
+    shape = _shape(quantity)
     absd = np.abs(np.asarray(moduli, dtype=np.float64))
     n = absd.size
-    if quantity in ("Delta", "Nabla"):
-        if K is None:
-            raise BadDimensions(f"{quantity} needs an outer dimension K")
-        allowance, size = k - 1, K
-    else:
-        K, allowance, size = k, 0, k
+    if not shape.outer:
+        K = k
+    elif K is None:
+        raise BadDimensions(f"{quantity} needs an outer dimension K")
     _check_dims(n, k, K)
     value = float(np.sort(absd)[::-1][_descending_index(quantity, n, k, K)])
-    wrong = absd > value if quantity in ("Gamma", "Nabla") else absd < value
-    keep = ~wrong | (np.cumsum(wrong) <= allowance)
-    return value, tuple(int(j) + 1 for j in np.flatnonzero(keep)[:size])
+    wrong = absd < value if shape.supremum else absd > value
+    keep = ~wrong | (np.cumsum(wrong) <= (k - 1 if shape.outer else 0))
+    return value, tuple(int(j) + 1 for j in np.flatnonzero(keep)[:K])
 
 
 def _alternating_search(
@@ -192,6 +228,9 @@ def _frame_to_subspace(Q: np.ndarray) -> Subspace:
     return Subspace(tuple(TailVector(Q[:, j]) for j in range(Q.shape[1])), ELL2)
 
 
+_OBJECTIVES = {"min_restricted_norm": "Gamma", "max_min_modulus": "Tau"}
+
+
 def grassmann_search(
     objective: str, T: Operator, N: int, k: int, restarts: int = 64, seed: int = 0
 ) -> tuple[float, Subspace]:
@@ -203,13 +242,11 @@ def grassmann_search(
     returned orthonormal basis attains the returned value.
     """
     _check_dims(N, k, k)
-    A = window_action_matrix(T, N)
-    if objective == "min_restricted_norm":
-        value, Q = _alternating_search(A, k, 0, False, restarts, seed)
-    elif objective == "max_min_modulus":
-        value, Q = _alternating_search(A, k, k - 1, True, restarts, seed)
-    else:
+    quantity = _OBJECTIVES.get(objective)
+    if quantity is None:
         raise ValueError(f"unknown objective {objective!r}")
+    A = window_action_matrix(T, N)
+    value, Q = _alternating_search(A, *_search_args(quantity, k, k), restarts, seed)
     return value, _frame_to_subspace(Q)
 
 
@@ -244,19 +281,10 @@ def _estimate(
         value, _ = coordinate_subset_value(_diagonal_moduli(T, N), quantity, k, K)
         bracket = (value, value)
     else:
-        A = window_action_matrix(T, N)
-        if quantity == "Gamma":
-            value, _ = _alternating_search(A, k, 0, False, restarts, seed)
-            bracket = (0.0, value)
-        elif quantity == "Tau":
-            value, _ = _alternating_search(A, k, k - 1, True, restarts, seed)
-            bracket = (value, max(value, operator_norm(T)))
-        elif quantity == "Delta":
-            value, _ = _alternating_search(A, K, K - k, True, restarts, seed)
-            bracket = (value, max(value, operator_norm(T)))
-        else:
-            value, _ = _alternating_search(A, K, k - 1, False, restarts, seed)
-            bracket = (0.0, value)
+        dim, index, supremum = _search_args(quantity, k, K)
+        value, _ = _alternating_search(window_action_matrix(T, N), dim, index, supremum, restarts, seed)
+        # an attained value bounds a supremum from below, an infimum from above
+        bracket = (value, max(value, operator_norm(T))) if supremum else (0.0, value)
     return QuantityEstimate(quantity, value, k, K, N, resolved, bracket, seed)
 
 
@@ -288,8 +316,6 @@ def nabla_kK(
     return _estimate("Nabla", T, N, k, K, method, restarts, seed)
 
 
-_DISPATCH = {"Gamma": gamma_k, "Tau": tau_k, "Delta": delta_kK, "Nabla": nabla_kK}
-
 CONVERGENCE_TOL = 1e-6
 
 
@@ -307,20 +333,16 @@ def limit_estimate(
     component.  Returns the estimates, the final value, and a flag set
     when the last three values agree pairwise within 1e-6.
     """
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}")
+    outer = _shape(quantity).outer
     if not schedule:
         raise BadDimensions("schedule must be nonempty")
     triples = [(int(N), int(k), int(K)) for N, k, K in schedule]
     for prev, cur in zip(triples, triples[1:]):
         if any(c < p for p, c in zip(prev, cur)):
             raise BadDimensions(f"schedule must be monotone, got {prev} before {cur}")
-    estimates = []
-    for N, k, K in triples:
-        if quantity in ("Gamma", "Tau"):
-            estimates.append(_DISPATCH[quantity](T, N, k, method=method, restarts=restarts, seed=seed))
-        else:
-            estimates.append(_DISPATCH[quantity](T, N, k, K, method=method, restarts=restarts, seed=seed))
+    estimates = [
+        _estimate(quantity, T, N, k, K if outer else k, method, restarts, seed) for N, k, K in triples
+    ]
     values = [e.value for e in estimates]
     tail = values[-3:]
     converged = len(values) >= 3 and max(tail) - min(tail) < CONVERGENCE_TOL

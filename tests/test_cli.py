@@ -19,6 +19,7 @@ from opquant.cli import (
     serialize_config,
 )
 from opquant.errors import ConfigError
+from opquant.quantities import QUANTITIES, limit_estimate
 from opquant.sampling import odd_coordinate_witness
 
 MINIMAL = {
@@ -239,6 +240,33 @@ class TestVectors:
         bundle = emit_test_vectors(parse(data), str(tmp_path / "v.json"))
         assert bundle["singular_values"] == [{"N": 6, "values": [1.0, 1.0, 1.0, 0.5, 0.5, 0.5]}]
         assert bundle["quantities"][0]["Gamma"] == 0.5
+
+    @pytest.mark.parametrize(
+        "operator, schedule",
+        [
+            # windows of 2 and 3 lie below the 4 x 4 block, 6 and 9 above it
+            (
+                {"kind": "dense", "block": [[1.0, 0.2, -0.4, 0.0], [0.3, -0.5, 0.1, 0.7], [0.0, 0.6, 0.2, -0.1], [0.8, 0.0, -0.3, 0.4]]},
+                [[2, 1, 1], [3, 1, 2], [6, 2, 4], [9, 3, 5]],
+            ),
+            ({"kind": "shift", "prefix": [0.7, 1.3], "periodic": [1.0, 0.5]}, [[4, 1, 2], [6, 2, 3], [9, 2, 7]]),
+        ],
+    )
+    def test_quantity_rows_match_limit_estimate(self, tmp_path, operator, schedule):
+        data = {
+            "space": {"p": 2},
+            "operator": operator,
+            "experiment": "quantities",
+            "parameters": {"quantity": "Gamma", "schedule": schedule},
+        }
+        config = parse(data)
+        bundle = emit_test_vectors(config, str(tmp_path / "v.json"))
+        T = config.build_operator()
+        assert [[row["N"], row["k"], row["K"]] for row in bundle["quantities"]] == schedule
+        for row in bundle["quantities"]:
+            for quantity in QUANTITIES:
+                _, value, _ = limit_estimate(T, quantity, [(row["N"], row["k"], row["K"])], method="svd_oracle")
+                assert row[quantity] == value, (row, quantity)
 
     def test_byte_identical(self, tmp_path):
         config = parse(MINIMAL)

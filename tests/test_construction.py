@@ -483,6 +483,34 @@ class TestInvarianceCases:
             with pytest.raises(InvalidWitness, match="2047 sub-basis patterns .* dimension 11"):
                 run_invariance_case(IDENT, part, M, 0.1, 0.1)
 
+    @pytest.mark.parametrize("part", ["Gamma", "Tau"])
+    def test_gamma_tau_image_only_the_approximants(self, part, monkeypatch):
+        # Gamma and Tau read gram_z and gram_tz alone: T reaches the z_n
+        # only, and the defect and T m_n Gram matrices wait for a first read
+        built, applied = [], []
+        build, apply_ = construction.build_core_approximants, construction.apply
+
+        def recording_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def counting_apply(T, v):
+            applied.append(v)
+            return apply_(T, v)
+
+        monkeypatch.setattr(construction, "build_core_approximants", recording_build)
+        monkeypatch.setattr(construction, "apply", counting_apply)
+        M = odd_coordinate_witness()
+        run_invariance_case(SHIFT, part, M, 0.1, 0.05, seed=1)
+        (ca,) = built
+        assert len(applied) == M.dim
+        assert all(v is z for v, z in zip(applied, ca.z))
+        defects = [linear_combine([1.0, -1.0], [z, m]) for z, m in zip(ca.z, ca.targets)]
+        np.testing.assert_allclose(ca.gram_defects, gram(defects), rtol=0.0, atol=1e-12)
+        images = [apply(SHIFT, m) for m in ca.targets]
+        np.testing.assert_allclose(ca.gram_tm, gram(images), rtol=0.0, atol=1e-12)
+        assert len(applied) == 2 * M.dim
+
     def test_sub_bases_are_lazy(self):
         first = next(sub_basis_coefficients(40, 0, seed=0))
         np.testing.assert_array_equal(first, np.eye(40)[:, :1])
