@@ -1,11 +1,13 @@
 """Structured bounded operators on l^p, closed over tail vectors.
 
-Four variants: eventually periodic diagonals, weighted shifts with the
-same weight layout, a finite dense block added to a diagonal, and plain
-dense matrices acting on a truncated window (the oracle-only variant).
-Applying any of the structured variants to a TailVector stays inside the
-tail-vector class exactly; operator norms come in closed form, and
-restricted norms from one generalized eigenvalue solve on Gram matrices.
+Three variants: eventually periodic diagonals, weighted shifts with the
+same weight layout, and a finite dense block added to a diagonal.  A
+plain dense matrix acting on a window is that block added to the zero
+diagonal (DenseMatrix, serialised as kind "dense").  Applying any of them
+to a TailVector stays inside the tail-vector class exactly; operator
+norms come in closed form, and restricted norms from one generalized
+eigenvalue solve on Gram matrices.  window_action_matrix is the one
+window builder: the square compression is its top N rows.
 """
 
 from __future__ import annotations
@@ -123,30 +125,28 @@ class FiniteRankPlus:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class DenseMatrix:
-    """N x N matrix acting on the window 1..N; coordinates beyond N map to 0."""
+class DenseMatrix(FiniteRankPlus):
+    """N x N matrix acting on the window 1..N; coordinates beyond N map to 0.
 
-    matrix: np.ndarray
+    It is the block added to the zero diagonal.
+    """
 
-    def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
-            raise BadDimensions(f"matrix must be square and nonempty, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise BadDimensions("matrix entries must be finite")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(self, matrix: np.ndarray) -> None:
+        super().__init__(matrix, Diagonal())
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.block
 
     @property
     def size(self) -> int:
-        return int(self.matrix.shape[0])
+        return self.block_size
 
     def to_dict(self) -> dict:
         return {"kind": "dense", "block": [[float(x) for x in row] for row in self.matrix]}
 
 
-Operator = Union[Diagonal, WeightedShift, FiniteRankPlus, DenseMatrix]
+Operator = Union[Diagonal, WeightedShift, FiniteRankPlus]
 
 
 def operator_from_dict(data: dict) -> Operator:
@@ -193,8 +193,6 @@ def apply(T: Operator, v: TailVector) -> TailVector:
         diag_part = _apply_diagonal(T.diagonal, v)
         block_part = TailVector(T.block @ v.coords(T.block_size))
         return linear_combine([1.0, 1.0], [diag_part, block_part])
-    if isinstance(T, DenseMatrix):
-        return TailVector(T.matrix @ v.coords(T.size))
     raise TypeError(f"not an operator: {T!r}")
 
 
@@ -210,9 +208,6 @@ def operator_norm_bracket(T: Operator, space: SpaceConfig = ELL2) -> tuple[float
         if T.prefix_values.size:
             sup = max(sup, float(np.max(np.abs(T.prefix_values))))
         return sup, sup
-    if isinstance(T, DenseMatrix):
-        value = float(np.linalg.norm(T.matrix, space.p))
-        return value, value
     if isinstance(T, FiniteRankPlus):
         B = T.block_size
         d = T.diagonal
@@ -228,20 +223,12 @@ def operator_norm(T: Operator, space: SpaceConfig = ELL2) -> float:
     return operator_norm_bracket(T, space)[1]
 
 
-@dataclass(frozen=True, eq=False)
-class RestrictedOperatorData:
-    """Gram data of a basis and its image, enough for norms on the span."""
-
-    subspace: Subspace
-    gram_M: np.ndarray
-    gram_TM: np.ndarray
-
-
-def restriction_data(T: Operator, M: Subspace) -> RestrictedOperatorData:
+def restriction_data(T: Operator, M: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """(gram_TM, gram_M): Gram matrices of the image of M's basis and of the basis."""
     if M.ambient.p != 2:
         raise ValueError("restricted norms require p = 2")
     images = [apply(T, b) for b in M.basis]
-    return RestrictedOperatorData(M, gram(M.basis), gram(images))
+    return gram(images), gram(M.basis)
 
 
 def _restricted_eigs(gram_TM: np.ndarray, gram_M: np.ndarray) -> np.ndarray:
@@ -256,8 +243,7 @@ def _restricted_eigs(gram_TM: np.ndarray, gram_M: np.ndarray) -> np.ndarray:
 
 
 def _eigs_on(T: Operator, M: Subspace) -> np.ndarray:
-    data = restriction_data(T, M)
-    return _restricted_eigs(data.gram_TM, data.gram_M)
+    return _restricted_eigs(*restriction_data(T, M))
 
 
 def restricted_norm(T: Operator, M: Subspace) -> float:
@@ -288,8 +274,6 @@ def _window_rows(T: Operator, N: int) -> int:
         return N + 1
     if isinstance(T, FiniteRankPlus):
         return max(N, T.block_size)
-    if isinstance(T, DenseMatrix):
-        return max(N, T.size)
     raise TypeError(f"not an operator: {T!r}")
 
 
@@ -316,37 +300,13 @@ def window_action_matrix(T: Operator, N: int) -> np.ndarray:
         m = np.zeros((N + 1, N))
         m[np.arange(1, N + 1), np.arange(N)] = T.weights(N)
         return m
-    if isinstance(T, FiniteRankPlus):
-        m = np.zeros((rows, N))
-        m[:N, :N] = np.diag(T.diagonal.entries(N))
-        b = min(T.block_size, N)
-        m[: T.block_size, :b] += T.block[:, :b]
-        return m
     m = np.zeros((rows, N))
-    c = min(T.size, N)
-    m[: T.size, :c] = T.matrix[:, :c]
+    m[:N, :N] = np.diag(T.diagonal.entries(N))
+    b = min(T.block_size, N)
+    m[: T.block_size, :b] += T.block[:, :b]
     return m
 
 
 def truncate_operator(T: Operator, N: int) -> DenseMatrix:
     """The N x N compression with entries <T e_j, e_i> for i, j <= N."""
-    if N < 1:
-        raise BadDimensions(f"window size must be >= 1, got {N}")
-    if isinstance(T, Diagonal):
-        return DenseMatrix(np.diag(T.entries(N)))
-    if isinstance(T, WeightedShift):
-        m = np.zeros((N, N))
-        if N > 1:
-            m[np.arange(1, N), np.arange(N - 1)] = T.weights(N - 1)
-        return DenseMatrix(m)
-    if isinstance(T, FiniteRankPlus):
-        m = np.array(truncate_operator(T.diagonal, N).matrix)
-        b = min(T.block_size, N)
-        m[:b, :b] += T.block[:b, :b]
-        return DenseMatrix(m)
-    if isinstance(T, DenseMatrix):
-        m = np.zeros((N, N))
-        b = min(T.size, N)
-        m[:b, :b] = T.matrix[:b, :b]
-        return DenseMatrix(m)
-    raise TypeError(f"not an operator: {T!r}")
+    return DenseMatrix(window_action_matrix(T, N)[:N])

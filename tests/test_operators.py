@@ -242,6 +242,21 @@ class TestWindowActionMatrix:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_columns_are_images_of_units(self):
+        # every kind, spill rows included: the compression is read from here
+        rng = np.random.default_rng(18)
+        kinds = set()
+        for _ in range(80):
+            T = random_operator(rng)
+            kinds.add(type(T))
+            N = int(rng.integers(1, 9))
+            A = window_action_matrix(T, N)
+            for j in range(1, N + 1):
+                image = apply(T, unit_vector(j))
+                assert image.has_zero_tail and image.anchor <= A.shape[0]
+                np.testing.assert_array_equal(A[:, j - 1], image.coords(A.shape[0]))
+        assert kinds == {Diagonal, WeightedShift, FiniteRankPlus, DenseMatrix}
+
 
 class TestTruncateOperator:
     def test_alternating_diagonal(self):
@@ -255,6 +270,15 @@ class TestTruncateOperator:
     def test_zero_diagonal(self):
         m = truncate_operator(Diagonal(periodic_values=(0.0,)), 5).matrix
         np.testing.assert_array_equal(m, np.zeros((5, 5)))
+
+    def test_cap_on_rows_times_columns(self, monkeypatch):
+        monkeypatch.setattr(operators, "MAX_WINDOW_ENTRIES", 42)
+        shift = WeightedShift(periodic_values=(1.0, 0.5))
+        assert truncate_operator(shift, 6).size == 6
+        with pytest.raises(BadDimensions, match=r"N=7 needs a matrix of 8 rows x 7 columns"):
+            truncate_operator(shift, 7)
+        with pytest.raises(BadDimensions, match=r"N=4 needs a matrix of 14 rows"):
+            truncate_operator(DenseMatrix(np.ones((14, 14))), 4)
 
     def test_matches_action_on_units(self):
         rng = np.random.default_rng(16)
@@ -278,6 +302,17 @@ class TestSerialization:
                 truncate_operator(U, n).matrix, truncate_operator(T, n).matrix
             )
 
+    def test_dense_is_a_block_on_the_zero_diagonal(self):
+        m = np.arange(9.0).reshape(3, 3) - 4.0
+        T = DenseMatrix(m)
+        assert isinstance(T, FiniteRankPlus)
+        np.testing.assert_array_equal(T.diagonal.entries(5), np.zeros(5))
+        data = T.to_dict()
+        assert data == {"kind": "dense", "block": m.tolist()}
+        U = operator_from_dict(data)
+        assert type(U) is DenseMatrix and U.size == 3
+        np.testing.assert_array_equal(U.matrix, m)
+
     def test_unknown_kind(self):
         with pytest.raises(BadDimensions):
             operator_from_dict({"kind": "mystery"})
@@ -287,3 +322,5 @@ class TestSerialization:
             FiniteRankPlus(np.zeros((2, 3)), IDENT)
         with pytest.raises(BadDimensions):
             Diagonal((1.0,), ())
+        with pytest.raises(BadDimensions, match="block must be square"):
+            DenseMatrix(np.zeros((2, 3)))
