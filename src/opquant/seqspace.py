@@ -237,7 +237,13 @@ def inner_product(u: TailVector, v: TailVector) -> float:
     rho = u.tail_ratio * v.tail_ratio
     # sum over residues s of cu_s cv_s rho^s * sum_m rho^(period*m)
     powers = rho ** np.arange(period)
-    total += float(np.dot(cu * cv, powers)) / (1.0 - rho**period)
+    power = rho**period
+    if power > 0.5:
+        # 1 - rho^P cancels and rho is rounded: take rho^P from the exact ratios' logs
+        denominator = -math.expm1(period * (math.log(abs(u.tail_ratio)) + math.log(abs(v.tail_ratio))))
+    else:
+        denominator = 1.0 - power
+    total += float(np.dot(cu * cv, powers)) / denominator
     return total
 
 
@@ -250,7 +256,9 @@ def norm(v: TailVector, space: SpaceConfig = ELL2) -> float:
         if not v.has_zero_tail:
             r = abs(v.tail_ratio)
             powers = r ** np.arange(v.period)
-            total += float(np.dot(np.abs(v.tail_coeffs), powers)) / (1.0 - r**v.period)
+            power = r**v.period
+            denominator = -math.expm1(v.period * math.log(r)) if power > 0.5 else 1.0 - power
+            total += float(np.dot(np.abs(v.tail_coeffs), powers)) / denominator
         return total
     # p = inf: tail terms |c_s| |r|^(s + m*P) are largest at m = 0
     best = float(np.max(np.abs(v.prefix))) if v.prefix.size else 0.0

@@ -1,9 +1,12 @@
 """Tests for exact tail-vector arithmetic, norms, functionals, projections."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opquant import (
     ELL1,
@@ -205,6 +208,60 @@ class TestInnerProductAndNorm:
         v = TailVector((), (1.0,), -0.25)
         # sum over t of (-1/8)^t
         assert inner_product(u, v) == pytest.approx(1.0 / (1.0 + 0.125), rel=1e-15)
+
+
+def _decimal_tail_sum(terms, rho):
+    """sum_s terms_s rho^s / (1 - rho^P) and the same sum of |terms|, in Decimal.
+
+    Callers set the precision; rho and the terms are exact Decimals.
+    """
+    P = len(terms)
+    denominator = 1 - rho**P
+    value = sum(t * rho**s for s, t in enumerate(terms)) / denominator
+    scale = sum(abs(t) * abs(rho) ** s for s, t in enumerate(terms)) / abs(denominator)
+    return value, scale
+
+
+# |r| from about 0.11 to 1 - 1e-12, both signs; the expm1 form starts where |r|^P > 1/2
+RATIOS = st.builds(
+    lambda e, sign: sign * (1.0 - 10.0**-e), st.floats(0.05, 12.0), st.sampled_from((1.0, -1.0))
+)
+# no coefficient so small that a product of two underflows
+COEFFS = st.lists(st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) > 1e-3), min_size=1, max_size=4)
+
+
+class TestGeometricDenominators:
+    """Tail sums near |r| = 1 against a 50-digit decimal reference."""
+
+    @pytest.mark.parametrize("r", [0.99, 0.9999, 1 - 1e-7, 1 - 1e-9])
+    def test_squared_norm_of_odd_tail(self, r):
+        v = TailVector((), (0.0, 0.5), r)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            R = Decimal(r)
+            reference = Decimal("0.25") * R**2 / (1 - R**4)
+            assert abs(Decimal(inner_product(v, v)) - reference) <= Decimal("1e-15") * reference
+
+    @settings(max_examples=300)
+    @given(COEFFS, RATIOS, COEFFS, RATIOS)
+    def test_inner_product(self, cu, ru, cv, rv):
+        u, v = TailVector((), cu, ru), TailVector((), cv, rv)
+        P = math.lcm(len(cu), len(cv))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            terms = [Decimal(cu[s % len(cu)]) * Decimal(cv[s % len(cv)]) for s in range(P)]
+            reference, scale = _decimal_tail_sum(terms, Decimal(ru) * Decimal(rv))
+            assert abs(Decimal(inner_product(u, v)) - reference) <= Decimal("1e-14") * scale
+            squares, _ = _decimal_tail_sum([Decimal(c) ** 2 for c in cu], Decimal(ru) ** 2)
+            assert abs(Decimal(norm(u) ** 2) - squares) <= Decimal("1e-14") * squares
+
+    @settings(max_examples=300)
+    @given(COEFFS, RATIOS)
+    def test_ell1_norm(self, coeffs, r):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            reference, _ = _decimal_tail_sum([abs(Decimal(c)) for c in coeffs], abs(Decimal(r)))
+            assert abs(Decimal(norm(TailVector((), coeffs, r), ELL1)) - reference) <= Decimal("1e-14") * reference
 
 
 class TestPairingAndNorming:
