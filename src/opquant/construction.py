@@ -41,7 +41,7 @@ from .seqspace import (
     Subspace,
     TailVector,
     _check_positive_definite,
-    _realigned_tail,
+    _remainder_norm,
     gram,
     linear_combine,
     norm,
@@ -291,12 +291,12 @@ def _minimal_truncation_index(v: TailVector, target: float, space: SpaceConfig) 
     Past the anchor the discarded tail shrinks by |r|^P every period P,
     so within each phase J = anchor + q + P m the first J under target
     has a closed form; the minimum over phases is then settled against
-    the exact norm, which equals truncate(v, J)[1].
+    the exact remainder norm, the one truncate(v, J) returns.
     """
     anchor, period = v.anchor, v.period
 
     def rest(J: int) -> float:
-        return norm(TailVector((), _realigned_tail(v, J, period), v.tail_ratio), space)
+        return _remainder_norm(v, J, space)
 
     def first_in_phase(J: int) -> int:
         start = rest(J)

@@ -1,20 +1,23 @@
 """Structured bounded operators on l^p, closed over tail vectors.
 
-Three variants: eventually periodic diagonals, weighted shifts with the
-same weight layout, and a finite dense block added to a diagonal.  A
-plain dense matrix acting on a window is that block added to the zero
-diagonal (DenseMatrix, serialised as kind "dense").  Applying any of them
-to a TailVector stays inside the tail-vector class exactly; operator
-norms come in closed form, and restricted norms from one generalized
-eigenvalue solve on Gram matrices.  window_action_matrix is the one
-window builder: the square compression is its top N rows.
+Three variants: eventually periodic diagonals, weighted shifts, and a
+finite dense block added to a diagonal.  Diagonal and WeightedShift are
+two thin subclasses of one weight layout (a prefix, then one period
+repeated); a weighted shift is that diagonal followed by the unilateral
+shift.  A plain dense matrix acting on a window is a block added to the
+zero diagonal (DenseMatrix, serialised as kind "dense").  Applying any of
+them to a TailVector stays inside the tail-vector class exactly;
+operator norms come in closed form, and restricted norms from one
+generalized eigenvalue solve on Gram matrices.  window_action_matrix is
+the one window builder and one formula for every variant: the square
+compression is its top N rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -29,70 +32,54 @@ from .seqspace import (
     _check_positive_definite,
     _realigned_tail,
     gram,
-    linear_combine,
 )
 
 
-def _periodic_values(values: Sequence[float], what: str) -> np.ndarray:
-    arr = _as_readonly_array(values)
-    if arr.size == 0:
-        raise BadDimensions(f"{what} needs a nonempty periodic part")
-    return arr
-
-
-def _materialize(prefix: np.ndarray, periodic: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty(n)
-    d = prefix.size
-    m = min(d, n)
-    out[:m] = prefix[:m]
-    if n > d:
-        out[d:] = periodic[np.arange(n - d) % periodic.size]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class Diagonal:
-    """Coordinatewise multiplier d_j, eventually periodic."""
+class _WeightLayout:
+    """Eventually periodic values: a finite prefix, then one period repeated."""
 
     prefix_values: np.ndarray = field(default_factory=lambda: _as_readonly_array(()))
     periodic_values: np.ndarray = field(default_factory=lambda: _as_readonly_array((0.0,)))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prefix_values", _as_readonly_array(self.prefix_values))
-        object.__setattr__(self, "periodic_values", _periodic_values(self.periodic_values, "Diagonal"))
+        periodic = _as_readonly_array(self.periodic_values)
+        if periodic.size == 0:
+            raise BadDimensions(f"{type(self).__name__} needs a nonempty periodic part")
+        object.__setattr__(self, "periodic_values", periodic)
 
     def entries(self, n: int) -> np.ndarray:
-        """Diagonal values d_1..d_n as a dense array."""
-        return _materialize(self.prefix_values, self.periodic_values, n)
+        """Values 1..n as a dense array."""
+        out = np.empty(n)
+        d = self.prefix_values.size
+        m = min(d, n)
+        out[:m] = self.prefix_values[:m]
+        if n > d:
+            out[d:] = self.periodic_values[np.arange(n - d) % self.periodic_values.size]
+        return out
 
     def to_dict(self) -> dict:
         return {
-            "kind": "diagonal",
+            "kind": self._KIND,
             "prefix": [float(x) for x in self.prefix_values],
             "periodic": [float(x) for x in self.periodic_values],
         }
+
+
+class Diagonal(_WeightLayout):
+    """Coordinatewise multiplier d_j, eventually periodic."""
+
+    _KIND = "diagonal"
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedShift:
+class WeightedShift(_WeightLayout):
     """Maps e_j to w_j e_{j+1}; weights share the diagonal layout."""
 
-    prefix_values: np.ndarray = field(default_factory=lambda: _as_readonly_array(()))
     periodic_values: np.ndarray = field(default_factory=lambda: _as_readonly_array((1.0,)))
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prefix_values", _as_readonly_array(self.prefix_values))
-        object.__setattr__(self, "periodic_values", _periodic_values(self.periodic_values, "WeightedShift"))
-
-    def weights(self, n: int) -> np.ndarray:
-        return _materialize(self.prefix_values, self.periodic_values, n)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "shift",
-            "prefix": [float(x) for x in self.prefix_values],
-            "periodic": [float(x) for x in self.periodic_values],
-        }
+    _KIND = "shift"
+    weights = _WeightLayout.entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +152,7 @@ def operator_from_dict(data: dict) -> Operator:
     raise BadDimensions(f"unknown operator kind {kind!r}")
 
 
-def _apply_diagonal(T: Diagonal, v: TailVector) -> TailVector:
+def _apply_diagonal(T: _WeightLayout, v: TailVector) -> TailVector:
     d = T.prefix_values.size
     anchor = max(v.anchor, d)
     head = v.coords(anchor) * T.entries(anchor)
@@ -188,11 +175,15 @@ def apply(T: Operator, v: TailVector) -> TailVector:
     if isinstance(T, Diagonal):
         return _apply_diagonal(T, v)
     if isinstance(T, WeightedShift):
-        return _shift_up(_apply_diagonal(Diagonal(T.prefix_values, T.periodic_values), v))
+        return _shift_up(_apply_diagonal(T, v))
     if isinstance(T, FiniteRankPlus):
-        diag_part = _apply_diagonal(T.diagonal, v)
-        block_part = TailVector(T.block @ v.coords(T.block_size))
-        return linear_combine([1.0, 1.0], [diag_part, block_part])
+        diag = _apply_diagonal(T.diagonal, v)
+        image = np.trim_zeros(T.block @ v.coords(T.block_size), "b")
+        anchor = max(diag.anchor, image.size)
+        # adding into +0.0, as a linear combination does, turns -0.0 into 0.0
+        head = diag.coords(anchor) + 0.0
+        head[: image.size] += image
+        return TailVector(head, _realigned_tail(diag, anchor, diag.period) + 0.0, diag.tail_ratio)
     raise TypeError(f"not an operator: {T!r}")
 
 
@@ -203,7 +194,7 @@ def operator_norm_bracket(T: Operator, space: SpaceConfig = ELL2) -> tuple[float
     block + diag(d_1..d_B) on coordinates 1..B and the diagonal beyond B,
     so its norm is the larger of the two parts' norms.
     """
-    if isinstance(T, (Diagonal, WeightedShift)):
+    if isinstance(T, _WeightLayout):
         sup = float(np.max(np.abs(T.periodic_values)))
         if T.prefix_values.size:
             sup = max(sup, float(np.max(np.abs(T.prefix_values))))
@@ -267,43 +258,35 @@ def restricted_extremes(T: Operator, M: Subspace) -> tuple[float, float]:
 MAX_WINDOW_ENTRIES = 2**24
 
 
-def _window_rows(T: Operator, N: int) -> int:
-    if isinstance(T, Diagonal):
-        return N
-    if isinstance(T, WeightedShift):
-        return N + 1
-    if isinstance(T, FiniteRankPlus):
-        return max(N, T.block_size)
-    raise TypeError(f"not an operator: {T!r}")
-
-
 def window_action_matrix(T: Operator, N: int) -> np.ndarray:
     """Matrix of the true action on span{e_1..e_N}, spill rows included.
 
     Column j holds the full image T e_j, so Gram computations on this
     matrix agree exactly with apply() on finitely supported vectors,
-    unlike the square compression which drops coordinates past N.  A
-    matrix above MAX_WINDOW_ENTRIES raises BadDimensions before any
-    allocation.
+    unlike the square compression which drops coordinates past N.  Every
+    variant is one formula: the weights on the diagonal offset by the
+    shift (1 for WeightedShift, else 0), plus the block columns of a
+    FiniteRankPlus.  A matrix above MAX_WINDOW_ENTRIES raises
+    BadDimensions before any allocation.
     """
     if N < 1:
         raise BadDimensions(f"window size must be >= 1, got {N}")
-    rows = _window_rows(T, N)
+    if isinstance(T, FiniteRankPlus):
+        weights, shift, block = T.diagonal, 0, T.block
+    elif isinstance(T, _WeightLayout):
+        weights, shift, block = T, int(isinstance(T, WeightedShift)), np.zeros((0, 0))
+    else:
+        raise TypeError(f"not an operator: {T!r}")
+    B = block.shape[0]
+    rows = max(N + shift, B)
     if rows * N > MAX_WINDOW_ENTRIES:
         raise BadDimensions(
             f"window N={N} needs a matrix of {rows} rows x {N} columns, "
             f"above the cap of {MAX_WINDOW_ENTRIES} entries"
         )
-    if isinstance(T, Diagonal):
-        return np.diag(T.entries(N))
-    if isinstance(T, WeightedShift):
-        m = np.zeros((N + 1, N))
-        m[np.arange(1, N + 1), np.arange(N)] = T.weights(N)
-        return m
     m = np.zeros((rows, N))
-    m[:N, :N] = np.diag(T.diagonal.entries(N))
-    b = min(T.block_size, N)
-    m[: T.block_size, :b] += T.block[:, :b]
+    m[np.arange(shift, N + shift), np.arange(N)] = weights.entries(N)
+    m[:B, :B] += block[:, :N]
     return m
 
 

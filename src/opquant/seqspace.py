@@ -362,11 +362,12 @@ def truncate(v: TailVector, J: int, space: SpaceConfig = ELL2) -> tuple[TailVect
     """Keep coordinates 1..J; return the head and the exact norm of the rest."""
     if J < v.anchor:
         raise ValueError(f"truncation index {J} must be >= prefix length {v.anchor}")
-    head = TailVector(v.coords(J))
-    if v.has_zero_tail:
-        return head, 0.0
-    remainder = TailVector(np.zeros(J), _realigned_tail(v, J, v.period), v.tail_ratio)
-    return head, norm(remainder, space)
+    return TailVector(v.coords(J)), _remainder_norm(v, J, space)
+
+
+def _remainder_norm(v: TailVector, J: int, space: SpaceConfig) -> float:
+    """Exact norm of the coordinates of v past J, for J >= v.anchor."""
+    return norm(TailVector((), _realigned_tail(v, J, v.period), v.tail_ratio), space)
 
 
 @dataclass(frozen=True, eq=False)

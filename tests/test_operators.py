@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from opquant import ELL1, ELL2, ELLINF, BadDimensions, DegenerateBasis, Subspace, TailVector
 from opquant import linear_combine, norm, scaled, unit_vector
@@ -45,6 +47,31 @@ def random_operator(rng):
         return FiniteRankPlus(rng.standard_normal((b, b)), Diagonal(prefix, periodic))
     n = rng.integers(1, 6)
     return DenseMatrix(rng.standard_normal((n, n)))
+
+
+# signed zeros and negatives alongside generic values, so sign bits show
+VALUES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, -0.5)), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def operators_of(draw, kinds=("diagonal", "shift", "finite_rank_plus", "dense")):
+    kind = draw(st.sampled_from(kinds))
+    prefix = draw(st.lists(VALUES, max_size=4))
+    periodic = draw(st.lists(VALUES, min_size=1, max_size=3))
+    if kind == "diagonal":
+        return Diagonal(prefix, periodic)
+    if kind == "shift":
+        return WeightedShift(prefix, periodic)
+    b = draw(st.integers(1, 5))
+    block = np.reshape(draw(st.lists(VALUES, min_size=b * b, max_size=b * b)), (b, b))
+    return DenseMatrix(block) if kind == "dense" else FiniteRankPlus(block, Diagonal(prefix, periodic))
+
+
+@st.composite
+def tail_vectors(draw):
+    prefix = draw(st.lists(VALUES, max_size=6))
+    coeffs = draw(st.lists(VALUES, min_size=1, max_size=3))
+    return TailVector(prefix, coeffs, draw(st.sampled_from((0.0, 0.5, -0.9))))
 
 
 class TestApply:
@@ -89,6 +116,19 @@ class TestApply:
         v = TailVector((1.0, 2.0, 3.0), (1.0,), 0.5)
         w = apply(T, v)
         np.testing.assert_array_equal(w.coords(4), [1.0, 2.0, 0.0, 0.0])
+
+    def test_block_image_keeps_signed_zeros_of_a_combination(self):
+        T = FiniteRankPlus([[1.0]], Diagonal((), (-1.0,)))
+        assert repr(apply(T, TailVector((1.0, 0.0, 2.0))).to_dict()["prefix"]) == "[0.0, 0.0, -2.0]"
+
+    @given(operators_of(("finite_rank_plus", "dense")), tail_vectors())
+    # a zero last row of the block must not lengthen the head before a tail
+    @example(FiniteRankPlus([[1.0, 0.0], [0.0, 0.0]], Diagonal((), (1.0,))), TailVector((), (1.0,), 0.5))
+    def test_block_plus_diagonal_is_their_combination(self, T, v):
+        # bit for bit, signed zeros included: the sum of the two images
+        block_image = TailVector(T.block @ v.coords(T.block_size))
+        expected = linear_combine([1.0, 1.0], [apply(T.diagonal, v), block_image])
+        assert repr(apply(T, v).to_dict()) == repr(expected.to_dict())
 
     def test_linearity(self):
         rng = np.random.default_rng(10)
@@ -258,6 +298,22 @@ class TestWindowActionMatrix:
         assert kinds == {Diagonal, WeightedShift, FiniteRankPlus, DenseMatrix}
 
 
+    @given(operators_of(), st.integers(1, 12))
+    def test_one_formula_matches_each_variant(self, T, N):
+        if isinstance(T, Diagonal):
+            expected = np.diag(T.entries(N))
+        elif isinstance(T, WeightedShift):
+            expected = np.zeros((N + 1, N))
+            expected[np.arange(1, N + 1), np.arange(N)] = T.weights(N)
+        else:
+            expected = np.zeros((max(N, T.block_size), N))
+            expected[:N, :N] = np.diag(T.diagonal.entries(N))
+            b = min(T.block_size, N)
+            expected[: T.block_size, :b] += T.block[:, :b]
+        A = window_action_matrix(T, N)
+        assert A.shape == expected.shape and A.tobytes() == expected.tobytes()
+
+
 class TestTruncateOperator:
     def test_alternating_diagonal(self):
         m = truncate_operator(ALT, 4).matrix
@@ -312,6 +368,20 @@ class TestSerialization:
         U = operator_from_dict(data)
         assert type(U) is DenseMatrix and U.size == 3
         np.testing.assert_array_equal(U.matrix, m)
+
+    def test_weight_layouts_stay_distinct_types(self):
+        shift = WeightedShift((0.7,), (1.0, -0.5))
+        assert not isinstance(shift, Diagonal) and not isinstance(Diagonal(), WeightedShift)
+        np.testing.assert_array_equal(shift.weights(6), shift.entries(6))
+        np.testing.assert_array_equal(WeightedShift().weights(3), np.ones(3))
+        for T in (shift, Diagonal((2.0,), (-1.0, 0.0))):
+            U = operator_from_dict(T.to_dict())
+            assert type(U) is type(T) and U.to_dict() == T.to_dict()
+
+    @pytest.mark.parametrize("kind", [Diagonal, WeightedShift])
+    def test_empty_period_names_the_class(self, kind):
+        with pytest.raises(BadDimensions, match=f"^{kind.__name__} needs a nonempty periodic part"):
+            kind(periodic_values=())
 
     def test_unknown_kind(self):
         with pytest.raises(BadDimensions):
