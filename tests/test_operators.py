@@ -121,8 +121,8 @@ class TestApply:
         T = FiniteRankPlus([[1.0]], Diagonal((), (-1.0,)))
         assert repr(apply(T, TailVector((1.0, 0.0, 2.0))).to_dict()["prefix"]) == "[0.0, 0.0, -2.0]"
 
+    # the example: a zero last row of the block must not lengthen the head before a tail
     @given(operators_of(("finite_rank_plus", "dense")), tail_vectors())
-    # a zero last row of the block must not lengthen the head before a tail
     @example(FiniteRankPlus([[1.0, 0.0], [0.0, 0.0]], Diagonal((), (1.0,))), TailVector((), (1.0,), 0.5))
     def test_block_plus_diagonal_is_their_combination(self, T, v):
         # bit for bit, signed zeros included: the sum of the two images
@@ -296,7 +296,6 @@ class TestWindowActionMatrix:
                 assert image.has_zero_tail and image.anchor <= A.shape[0]
                 np.testing.assert_array_equal(A[:, j - 1], image.coords(A.shape[0]))
         assert kinds == {Diagonal, WeightedShift, FiniteRankPlus, DenseMatrix}
-
 
     @given(operators_of(), st.integers(1, 12))
     def test_one_formula_matches_each_variant(self, T, N):
