@@ -32,9 +32,9 @@ from .construction import (
 )
 from .errors import ConfigError, OpquantError, ZeroVector
 from .operators import Diagonal, Operator, operator_from_dict, window_action_matrix
-from .quantities import _SHAPES, METHODS, QUANTITIES, _descending_index, limit_estimate, svd_oracle
+from .quantities import METHODS, QUANTITIES, _descending_index, limit_estimate, svd_oracle
 from .sampling import odd_coordinate_witness, sample_lemma_functionals, sample_witness_subspace
-from .seqspace import ELL2, SpaceConfig, Subspace, TailVector, norm, space_from_tag
+from .seqspace import SpaceConfig, Subspace, TailVector, _p_tag, norm, space_from_tag
 
 EXPERIMENTS = ("quantities", "construction_suite", "invariance_case", "lemma_check")
 METHOD_CHOICES = ("auto", *METHODS)
@@ -60,7 +60,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         data = {
-            "space": {"p": "inf" if math.isinf(self.space.p) else int(self.space.p)},
+            "space": {"p": _p_tag(self.space)},
             "operator": self.operator,
             "experiment": self.experiment,
             "parameters": self.parameters,
@@ -124,7 +124,7 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-_SPACE_TAGS = {1: 1, 2: 2, "1": 1, "2": 2, "inf": "inf", math.inf: "inf"}
+_SPACE_TAGS = {1, 2, "1", "2", "inf", math.inf}
 
 
 def _parse_space(data) -> SpaceConfig:
@@ -132,7 +132,7 @@ def _parse_space(data) -> SpaceConfig:
     tag = data.get("p")
     if isinstance(tag, bool) or (not isinstance(tag, (int, float, str))) or tag not in _SPACE_TAGS:
         raise ConfigError("space.p: must be one of 1, 2, inf")
-    return space_from_tag(_SPACE_TAGS[tag])
+    return space_from_tag(tag)
 
 
 def _parse_operator(data) -> dict:
@@ -170,7 +170,7 @@ def _check_number(params: dict, key: str, predicate, message: str) -> None:
     _require(valid, message)
 
 
-def _check_count(params: dict, key: str, minimum: int = 1) -> None:
+def _check_count(params: dict, key: str, minimum: int) -> None:
     if key not in params:
         return
     value = params[key]
@@ -179,42 +179,36 @@ def _check_count(params: dict, key: str, minimum: int = 1) -> None:
     _require(valid, f"parameters.{key}: must be {bound}")
 
 
+_POSITIVE = ("delta", "c", "tol", "expected_tolerance")
+# integer parameters with their smallest accepted value
+_COUNTS = {
+    "seed": 0,
+    "restarts": 1,
+    "samples": 1,
+    "systems": 1,
+    "combos": 1,
+    "functionals": 1,
+    "sub_basis_samples": 0,
+    "vectors": 1,
+}
+_CHOICES = {"quantity": QUANTITIES, "part": QUANTITIES, "method": METHOD_CHOICES}
+# every parameter a runner reads; README.md lists the same names
+_PARAMETERS = frozenset({"epsilon", *_POSITIVE, *_COUNTS, *_CHOICES, "schedule", "expected", "witness"})
+
+
 def _parse_parameters(raw, experiment: str) -> dict:
     _require(isinstance(raw, dict), "parameters: must be an object")
+    for key in raw:
+        _require(key in _PARAMETERS, f"parameters: unknown field {key!r}")
     params = dict(raw)
     _check_number(params, "epsilon", lambda v: 0.0 < v < 1.0, "parameters.epsilon: must lie in (0,1)")
-    _check_number(params, "delta", lambda v: v > 0.0, "parameters.delta: must be positive")
-    _check_number(params, "c", lambda v: v > 0.0, "parameters.c: must be positive")
-    _check_number(params, "tol", lambda v: v > 0.0, "parameters.tol: must be positive")
-    _check_number(
-        params,
-        "expected_tolerance",
-        lambda v: v > 0.0,
-        "parameters.expected_tolerance: must be positive",
-    )
-    _check_count(params, "seed", minimum=0)
-    _check_count(params, "restarts")
-    _check_count(params, "samples")
-    _check_count(params, "systems")
-    _check_count(params, "combos")
-    _check_count(params, "functionals")
-    _check_count(params, "sub_basis_samples", minimum=0)
-    _check_count(params, "vectors")
-    if "quantity" in params:
-        _require(
-            params["quantity"] in QUANTITIES,
-            "parameters.quantity: must be one of Gamma, Delta, Tau, Nabla",
-        )
-    if "part" in params:
-        _require(
-            params["part"] in QUANTITIES,
-            "parameters.part: must be one of Gamma, Tau, Delta, Nabla",
-        )
-    if "method" in params:
-        _require(
-            params["method"] in METHOD_CHOICES,
-            "parameters.method: must be one of auto, svd_oracle, subset_oracle, grassmann_search",
-        )
+    for key in _POSITIVE:
+        _check_number(params, key, lambda v: v > 0.0, f"parameters.{key}: must be positive")
+    for key, minimum in _COUNTS.items():
+        _check_count(params, key, minimum)
+    for key, choices in _CHOICES.items():
+        if key in params:
+            _require(params[key] in choices, f"parameters.{key}: must be one of {', '.join(choices)}")
     if "schedule" in params:
         params["schedule"] = _parse_schedule(params["schedule"])
     elif experiment == "quantities":
@@ -242,12 +236,16 @@ def _parse_parameters(raw, experiment: str) -> dict:
     return params
 
 
+def _load_json(text: str, field: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{field}: invalid JSON ({exc})") from None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Validate a JSON experiment config, naming the offending field on error."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON ({exc})") from None
+    data = _load_json(text, "config")
     _require(isinstance(data, dict), "config: must be a JSON object")
     known = {"space", "operator", "experiment", "parameters", "output_path"}
     for key in data:
@@ -355,47 +353,31 @@ def _run_construction(config: ExperimentConfig, seed: int, results: list, violat
         for j in range(combos):
             coeffs = rng.uniform(-1.0, 1.0, size=dim)
             holds, margins = check_coefficient_bound(system, coeffs)
-            if not holds:
-                low = min(margins)
-                violations.append(_violation(f"system[{i}].coefficient_bound[{j}]", low, 0.0, low))
             defect, distortion, near = verify_near_isometry(ca, coeffs)
             worst_gap = max(worst_gap, near["gap"])
-            if not defect:
-                violations.append(
-                    _violation(
-                        f"system[{i}].defect[{j}]",
-                        near["gap"],
-                        near["allowance"],
-                        near["allowance"] - near["gap"],
-                    )
-                )
-            if not distortion:
-                slack = min(near["z_norm"] - near["lower"], near["upper"] - near["z_norm"])
-                violations.append(
-                    _violation(f"system[{i}].distortion[{j}]", near["z_norm"], near["upper"], slack)
-                )
+            least = min(margins)
+            gap, allowance = near["gap"], near["allowance"]
+            z_norm, upper = near["z_norm"], near["upper"]
+            # (name, holds, measured, bound, slack) of every inequality checked
+            checks = [
+                ("coefficient_bound", holds, least, 0.0, least),
+                ("defect", defect, gap, allowance, allowance - gap),
+                ("distortion", distortion, z_norm, upper, min(z_norm - near["lower"], upper - z_norm)),
+            ]
             try:
-                lower, upper, transfer = verify_transfer_bounds(ca, T, coeffs)
+                lower_holds, upper_holds, transfer = verify_transfer_bounds(ca, T, coeffs)
             except ZeroVector:
-                continue
-            if not lower:
-                violations.append(
-                    _violation(
-                        f"system[{i}].transfer_lower[{j}]",
-                        transfer["z_ratio"],
-                        transfer["lower_threshold"],
-                        transfer["z_ratio"] - transfer["lower_threshold"],
-                    )
-                )
-            if not upper:
-                violations.append(
-                    _violation(
-                        f"system[{i}].transfer_upper[{j}]",
-                        transfer["z_ratio"],
-                        transfer["upper_threshold"],
-                        transfer["upper_threshold"] - transfer["z_ratio"],
-                    )
-                )
+                pass
+            else:
+                ratio = transfer["z_ratio"]
+                low, high = transfer["lower_threshold"], transfer["upper_threshold"]
+                checks.append(("transfer_lower", lower_holds, ratio, low, ratio - low))
+                checks.append(("transfer_upper", upper_holds, ratio, high, high - ratio))
+            violations.extend(
+                _violation(f"system[{i}].{name}[{j}]", measured, bound, slack)
+                for name, ok, measured, bound, slack in checks
+                if not ok
+            )
         results.append(
             {
                 "kind": "construction_system",
@@ -411,28 +393,22 @@ def _run_construction(config: ExperimentConfig, seed: int, results: list, violat
         )
 
 
-def _case_slack(report) -> tuple[float, float]:
-    measured = report.measured
-    shape = _SHAPES[report.part]
-    if shape.outer:
-        return measured["worst_margin"], measured["worst_margin"]
-    value = measured["restricted_norm_L" if shape.norm else "restricted_min_modulus_L"]
-    threshold = measured["threshold"]
-    return value, value - threshold if shape.supremum else threshold - value
+def _witness(config: ExperimentConfig) -> Optional[Subspace]:
+    """The subspace spanned by parameters.witness, or None without one."""
+    if "witness" not in config.parameters:
+        return None
+    return Subspace(tuple(TailVector.from_dict(d) for d in config.parameters["witness"]), config.space)
 
 
 def _run_invariance(config: ExperimentConfig, seed: int, results: list, violations: list) -> None:
     params = config.parameters
     T = config.build_operator()
     part = params.get("part", "Gamma")
-    if "witness" in params:
-        M = Subspace(tuple(TailVector.from_dict(d) for d in params["witness"]), config.space)
-    else:
-        M = odd_coordinate_witness()
+    M = _witness(config)
     report = run_invariance_case(
         T,
         part,
-        M,
+        odd_coordinate_witness() if M is None else M,
         params.get("epsilon", 0.1),
         params.get("delta", 0.05),
         seed=seed,
@@ -440,10 +416,7 @@ def _run_invariance(config: ExperimentConfig, seed: int, results: list, violatio
     )
     results.append(report.to_dict())
     if not report.passed:
-        measured, slack = _case_slack(report)
-        violations.append(
-            _violation(f"invariance_case.{part}", measured, report.measured["threshold"], slack)
-        )
+        violations.append(_violation(f"invariance_case.{part}", *report.margin))
 
 
 def _run_lemma(config: ExperimentConfig, seed: int, results: list, violations: list) -> None:
@@ -466,9 +439,14 @@ _RUNNERS = {
 }
 
 
+def _seed(config: ExperimentConfig, seed_override: Optional[int]) -> int:
+    """The override (--seed or OPQUANT_SEED) if given, else parameters.seed, else 0."""
+    return int(seed_override if seed_override is not None else config.parameters.get("seed", 0))
+
+
 def run(config: ExperimentConfig, seed_override: Optional[int] = None) -> RunReport:
     """Execute one experiment; violations are collected, not fail-fast."""
-    seed = int(seed_override if seed_override is not None else config.parameters.get("seed", 0))
+    seed = _seed(config, seed_override)
     results: list = []
     violations: list = []
     _RUNNERS[config.experiment](config, seed, results, violations)
@@ -479,7 +457,7 @@ def emit_test_vectors(
     config: ExperimentConfig, out: str, seed_override: Optional[int] = None
 ) -> dict:
     """Write a deterministic (input, expected-output) bundle for regression tests."""
-    seed = int(seed_override if seed_override is not None else config.parameters.get("seed", 0))
+    seed = _seed(config, seed_override)
     params = config.parameters
     T = config.build_operator() if config.operator is not None else Diagonal(periodic_values=(1.0,))
     schedule = params.get("schedule") or [[4, 1, 2]]
@@ -492,12 +470,8 @@ def emit_test_vectors(
         for N, k, K in schedule
     ]
 
-    dim = params.get("vectors", 3)
-    if "witness" in params:
-        M = Subspace(tuple(TailVector.from_dict(d) for d in params["witness"]), config.space)
-        dim = M.dim
-    else:
-        M = None
+    M = _witness(config)
+    dim = params.get("vectors", 3) if M is None else M.dim
     system = build_biorthogonal(M, dim, space=config.space, seed=seed)
     ca = build_core_approximants(
         system, T, params.get("epsilon", 0.1), params.get("c", 1.0)
@@ -544,9 +518,12 @@ def _seed_override(args: argparse.Namespace) -> Optional[int]:
     return value
 
 
-def _emit_report(report: RunReport, out: Optional[str]) -> int:
+def _run_and_write(args: argparse.Namespace, config_text: str) -> int:
+    """Parse and run a config; write its report to --out, output_path or stdout."""
+    config = parse_config(config_text)
+    report = run(config, _seed_override(args))
     text = report.to_json()
-    target = out or report.config.output_path
+    target = args.out or config.output_path
     if target:
         Path(target).write_text(text, encoding="utf-8")
     else:
@@ -555,35 +532,23 @@ def _emit_report(report: RunReport, out: Optional[str]) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    report = run(config, _seed_override(args))
-    return _emit_report(report, args.out)
+    return _run_and_write(args, Path(args.config).read_text(encoding="utf-8"))
 
 
 def _cmd_quantities(args: argparse.Namespace) -> int:
     quantity = QUANTITY_LETTERS.get(args.quantity, args.quantity)
-    try:
-        operator = json.loads(args.op)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"operator: invalid JSON ({exc})") from None
-    try:
-        schedule = json.loads(args.schedule)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"parameters.schedule: invalid JSON ({exc})") from None
     data = {
         "space": {"p": args.space},
-        "operator": operator,
+        "operator": _load_json(args.op, "operator"),
         "experiment": "quantities",
         "parameters": {
             "quantity": quantity,
-            "schedule": schedule,
+            "schedule": _load_json(args.schedule, "parameters.schedule"),
             "method": args.method,
             "restarts": args.restarts,
         },
     }
-    config = parse_config(json.dumps(data))
-    report = run(config, _seed_override(args))
-    return _emit_report(report, args.out)
+    return _run_and_write(args, json.dumps(data))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -598,9 +563,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "combos": args.combos,
         },
     }
-    config = parse_config(json.dumps(data))
-    report = run(config, _seed_override(args))
-    return _emit_report(report, args.out)
+    return _run_and_write(args, json.dumps(data))
 
 
 def _cmd_vectors(args: argparse.Namespace) -> int:

@@ -61,6 +61,10 @@ MAX_WINDOW = 2**22
 # Largest count of coordinate sub-basis patterns (2^dim - 1) that the
 # Delta/Nabla check enumerates: witnesses up to dimension 10.
 MAX_SUB_BASIS_PATTERNS = 2**10
+# Largest ambient system build_biorthogonal(None, count) draws: each new
+# vector is projected into the kernels of all earlier functionals, so the
+# work grows faster than count^2.  Test systems hold at most 8 vectors.
+_MAX_AMBIENT_VECTORS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +175,10 @@ def build_biorthogonal(
         raise ExhaustedSubspace("count must be at least 1")
     if M is not None and count > M.dim:
         raise ExhaustedSubspace(f"window dimension {M.dim} < requested count {count}")
+    if M is None and count > _MAX_AMBIENT_VECTORS:
+        raise ExhaustedSubspace(
+            f"ambient system of {count} vectors, above the cap of {_MAX_AMBIENT_VECTORS}"
+        )
     basis = list(M.basis) if M is not None else _ambient_pool(count)
     if space.p != 2 and any(not b.has_zero_tail for b in basis):
         raise OpquantError(f"p={space.p} construction needs finitely supported basis vectors")
@@ -527,6 +535,16 @@ class CaseReport:
     constructed_L: Subspace
     measured: dict
     passed: bool
+
+    @property
+    def margin(self) -> tuple[float, float, float]:
+        """(measured, threshold, slack) of the concluding bound; not serialised."""
+        shape = _SHAPES[self.part]
+        threshold = self.measured["threshold"]
+        if shape.outer:
+            return self.measured["worst_margin"], threshold, self.measured["worst_margin"]
+        value = self.measured["restricted_norm_L" if shape.norm else "restricted_min_modulus_L"]
+        return value, threshold, value - threshold if shape.supremum else threshold - value
 
     def to_dict(self) -> dict:
         return {

@@ -2,15 +2,19 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opquant import construction
 from opquant.cli import (
+    _PARAMETERS,
     ExperimentConfig,
     _dumps,
     emit_test_vectors,
@@ -18,9 +22,17 @@ from opquant.cli import (
     run,
     serialize_config,
 )
-from opquant.errors import ConfigError
+from opquant.construction import (
+    build_biorthogonal,
+    build_core_approximants,
+    check_coefficient_bound,
+    run_invariance_case,
+    verify_near_isometry,
+    verify_transfer_bounds,
+)
+from opquant.errors import ConfigError, ZeroVector
 from opquant.quantities import QUANTITIES, limit_estimate
-from opquant.sampling import odd_coordinate_witness
+from opquant.sampling import odd_coordinate_witness, sample_witness_subspace
 
 MINIMAL = {
     "space": {"p": 2},
@@ -112,6 +124,7 @@ class TestParseConfig:
             (with_params(MINIMAL, seed=-2), "parameters.seed: must be a nonnegative integer"),
             (with_params(MINIMAL, quantity="Sigma"), "parameters.quantity: must be one of"),
             (with_params(MINIMAL, method="magic"), "parameters.method: must be one of"),
+            (with_params(MINIMAL, epsillon=0.5), "parameters: unknown field 'epsillon'"),
             (with_params(MINIMAL, expected=[1.0]), "length must match schedule"),
             ({**MINIMAL, "output_path": 7}, "output_path: must be a string"),
         ]
@@ -207,6 +220,104 @@ class TestRun:
         }
         config = parse(data)
         assert run(config).to_json() == run(config).to_json()
+
+
+def test_readme_lists_every_parameter():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = re.search(r"^- `parameters` (.*?)\n(?=- |\n)", readme, re.M | re.S).group(1)
+    assert set(re.findall(r"`([a-z_]+)[`\s]", bullet)) == _PARAMETERS
+
+
+ALTERNATING = {"kind": "diagonal", "periodic": [1.0, 2.0]}
+SHIFT = {"kind": "shift", "prefix": [0.7, 1.3], "periodic": [1.0, 0.5]}
+
+
+def violation(name, measured, bound, slack):
+    return {"name": name, "measured": measured, "bound": bound, "slack": slack}
+
+
+class TestViolationLists:
+    """With INEQUALITY_SLACK = -1 every inequality fails, so each report
+    must list every check, in order, against the checks called directly."""
+
+    @pytest.mark.parametrize("operator", [ALTERNATING, SHIFT])
+    def test_construction_suite(self, operator, monkeypatch):
+        monkeypatch.setattr(construction, "INEQUALITY_SLACK", -1.0)
+        seed, epsilon, c = 4, 0.1, 1.0
+        config = parse(
+            {
+                "operator": operator,
+                "experiment": "construction_suite",
+                "parameters": {"epsilon": epsilon, "c": c, "systems": 3, "combos": 30, "seed": seed},
+            }
+        )
+        T = config.build_operator()
+        expected = []
+        for i in range(3):
+            rng = np.random.default_rng([seed, i])
+            dim = 2 + i % 3
+            system = build_biorthogonal(sample_witness_subspace(rng, dim), dim, seed=seed + i)
+            ca = build_core_approximants(system, T, epsilon, c)
+            for j in range(30):
+                coeffs = rng.uniform(-1.0, 1.0, size=dim)
+                holds, margins = check_coefficient_bound(system, coeffs)
+                if not holds:
+                    expected.append(
+                        violation(f"system[{i}].coefficient_bound[{j}]", min(margins), 0.0, min(margins))
+                    )
+                defect, distortion, near = verify_near_isometry(ca, coeffs)
+                if not defect:
+                    slack = near["allowance"] - near["gap"]
+                    expected.append(
+                        violation(f"system[{i}].defect[{j}]", near["gap"], near["allowance"], slack)
+                    )
+                if not distortion:
+                    slack = min(near["z_norm"] - near["lower"], near["upper"] - near["z_norm"])
+                    expected.append(
+                        violation(f"system[{i}].distortion[{j}]", near["z_norm"], near["upper"], slack)
+                    )
+                try:
+                    lower, upper, transfer = verify_transfer_bounds(ca, T, coeffs)
+                except ZeroVector:
+                    continue
+                ratio = transfer["z_ratio"]
+                if not lower:
+                    low = transfer["lower_threshold"]
+                    expected.append(violation(f"system[{i}].transfer_lower[{j}]", ratio, low, ratio - low))
+                if not upper:
+                    high = transfer["upper_threshold"]
+                    expected.append(violation(f"system[{i}].transfer_upper[{j}]", ratio, high, high - ratio))
+        kinds = {re.sub(r"\[\d+\]", "", e["name"]).split(".")[1] for e in expected}
+        assert kinds == {"coefficient_bound", "defect", "distortion", "transfer_lower", "transfer_upper"}
+        report = run(config)
+        assert report.exit_code == 1
+        assert report.violations == expected
+
+    @pytest.mark.parametrize("operator", [ALTERNATING, SHIFT])
+    @pytest.mark.parametrize("part", QUANTITIES)
+    def test_invariance_case(self, operator, part, monkeypatch):
+        monkeypatch.setattr(construction, "INEQUALITY_SLACK", -1.0)
+        config = parse(
+            {"operator": operator, "experiment": "invariance_case", "parameters": {"part": part, "seed": 2}}
+        )
+        case = run_invariance_case(
+            config.build_operator(), part, odd_coordinate_witness(), 0.1, 0.05, seed=2
+        )
+        assert not case.passed
+        measured = case.measured
+        threshold = measured["threshold"]
+        if part == "Gamma":
+            value = measured["restricted_norm_L"]
+            expected = violation("invariance_case.Gamma", value, threshold, threshold - value)
+        elif part == "Tau":
+            value = measured["restricted_min_modulus_L"]
+            expected = violation("invariance_case.Tau", value, threshold, value - threshold)
+        else:
+            margin = measured["worst_margin"]
+            expected = violation(f"invariance_case.{part}", margin, threshold, margin)
+        report = run(config)
+        assert report.results == [case.to_dict()]
+        assert report.violations == [expected]
 
 
 class TestVectors:
@@ -441,6 +552,37 @@ class TestCommandLine:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr.startswith("error: Nabla needs 2047 sub-basis patterns")
+
+    def test_run_exit_two_on_unknown_parameter(self, tmp_path):
+        data = {
+            "operator": {"kind": "diagonal", "periodic": [1.0, 2.0]},
+            "experiment": "construction_suite",
+            "parameters": {"epsillon": 0.5, "systems": 1, "combos": 5},
+        }
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(data))
+        result = cli("run", "--config", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "config error: parameters: unknown field 'epsillon'\n"
+
+    def test_run_exit_two_on_functional_cap(self, tmp_path):
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"experiment": "lemma_check", "parameters": {"functionals": 20000}}))
+        result = cli("run", "--config", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: 20000 lemma functionals requested; at most 6")
+
+    def test_vectors_exit_two_on_ambient_cap(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(with_params(IDENTITY, vectors=20000)))
+        out = tmp_path / "bundle.json"
+        result = cli("vectors", "--config", str(path), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ambient system of 20000 vectors, above the cap of 64")
+        assert not out.exists()
 
     def test_quantities_letter_aliases(self):
         result = cli(

@@ -125,6 +125,40 @@ class TestBuildBiorthogonal:
         with pytest.raises(ExhaustedSubspace):
             build_biorthogonal(M, 3)
 
+    def test_ambient_cap(self, monkeypatch):
+        assert construction._MAX_AMBIENT_VECTORS == 64
+        monkeypatch.setattr(construction, "_MAX_AMBIENT_VECTORS", 4)
+        assert len(build_biorthogonal(None, 4)) == 4
+        with pytest.raises(ExhaustedSubspace, match="ambient system of 5 vectors, above the cap of 4"):
+            build_biorthogonal(None, 5)
+        # a witness is bounded by its own dimension, not by the ambient cap
+        assert len(build_biorthogonal(sample_witness_subspace(np.random.default_rng(1), 5), 5)) == 5
+
+
+def reference_witness(rng, dim):
+    """sample_witness_subspace's draws written out: ratio, then per vector
+    anchor, prefix, period and tail coefficients (first attempt only)."""
+    ratio = float(rng.uniform(0.2, 0.8)) * (1 if rng.random() < 0.5 else -1)
+    basis = []
+    for _ in range(dim):
+        prefix = rng.standard_normal(int(rng.integers(0, 6)))
+        v = TailVector(prefix, rng.standard_normal(int(rng.integers(1, 4))), ratio)
+        if norm(v) < 1e-3:
+            v = TailVector(rng.standard_normal(3), rng.standard_normal(2), ratio)
+        basis.append(v)
+    return basis
+
+
+def test_witness_sampler_draw_order():
+    for seed in range(30):
+        dim = 2 + seed % 3
+        try:
+            expected = Subspace(tuple(reference_witness(np.random.default_rng(seed), dim)))
+        except DegenerateBasis:
+            continue
+        M = sample_witness_subspace(np.random.default_rng(seed), dim)
+        assert [v.to_dict() for v in M.basis] == [v.to_dict() for v in expected.basis]
+
 
 class TestCoefficientBound:
     def test_single_vector_equality(self):
@@ -422,6 +456,17 @@ class TestDenseIntersection:
             report = check_dense_intersection(fs, samples=60, tol=1e-8, seed=count)
             assert report["passed"], report
             assert report["functional_count"] == count
+
+    def test_functional_count_cap(self):
+        # six representers can be independent; a seventh cannot, and is
+        # refused before the generator is touched
+        for seed in range(5):
+            assert len(sample_lemma_functionals(np.random.default_rng(seed), 6)) == 6
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DegenerateBasis, match="7 lemma functionals requested; at most 6"):
+            sample_lemma_functionals(rng, 7)
+        assert rng.bit_generator.state == state
 
     def test_window_cap(self, monkeypatch):
         # rounding in the window projection keeps the distance far above
