@@ -24,13 +24,11 @@ from . import __version__
 from .construction import (
     build_biorthogonal,
     build_core_approximants,
-    check_coefficient_bound,
+    certify_construction,
     check_dense_intersection,
     run_invariance_case,
-    verify_near_isometry,
-    verify_transfer_bounds,
 )
-from .errors import ConfigError, OpquantError, ZeroVector
+from .errors import ConfigError, OpquantError
 from .operators import Diagonal, Operator, operator_from_dict, window_action_matrix
 from .quantities import METHODS, QUANTITIES, _descending_index, limit_estimate, svd_oracle
 from .sampling import odd_coordinate_witness, sample_lemma_functionals, sample_witness_subspace
@@ -186,20 +184,26 @@ _COUNTS = {
     "restarts": 1,
     "samples": 1,
     "systems": 1,
-    "combos": 1,
     "functionals": 1,
     "sub_basis_samples": 0,
     "vectors": 1,
 }
 _CHOICES = {"quantity": QUANTITIES, "part": QUANTITIES, "method": METHOD_CHOICES}
-# every parameter a runner reads; README.md lists the same names
-_PARAMETERS = frozenset({"epsilon", *_POSITIVE, *_COUNTS, *_CHOICES, "schedule", "expected", "witness"})
+# the names each runner reads, plus those opquant vectors reads from any
+# config; README.md lists the same names
+_SHARED = frozenset({"seed", "schedule", "vectors", "witness", "epsilon", "c"})
+_PARAMETERS = {
+    "quantities": _SHARED | {"quantity", "method", "restarts", "expected", "expected_tolerance"},
+    "construction_suite": _SHARED | {"systems"},
+    "invariance_case": _SHARED | {"part", "delta", "sub_basis_samples"},
+    "lemma_check": _SHARED | {"functionals", "samples", "tol"},
+}
 
 
 def _parse_parameters(raw, experiment: str) -> dict:
     _require(isinstance(raw, dict), "parameters: must be an object")
     for key in raw:
-        _require(key in _PARAMETERS, f"parameters: unknown field {key!r}")
+        _require(key in _PARAMETERS[experiment], f"parameters: unknown field {key!r}")
     params = dict(raw)
     _check_number(params, "epsilon", lambda v: 0.0 < v < 1.0, "parameters.epsilon: must lie in (0,1)")
     for key in _POSITIVE:
@@ -341,43 +345,17 @@ def _run_construction(config: ExperimentConfig, seed: int, results: list, violat
     T = config.build_operator()
     epsilon = params.get("epsilon", 0.1)
     c = params.get("c", 1.0)
-    systems = params.get("systems", 3)
-    combos = params.get("combos", 200)
-    for i in range(systems):
-        rng = np.random.default_rng([seed, i])
+    for i in range(params.get("systems", 3)):
         dim = 2 + i % 3
-        M = sample_witness_subspace(rng, dim)
+        M = sample_witness_subspace(np.random.default_rng([seed, i]), dim)
         system = build_biorthogonal(M, dim, space=config.space, seed=seed + i)
         ca = build_core_approximants(system, T, epsilon, c)
-        worst_gap = 0.0
-        for j in range(combos):
-            coeffs = rng.uniform(-1.0, 1.0, size=dim)
-            holds, margins = check_coefficient_bound(system, coeffs)
-            defect, distortion, near = verify_near_isometry(ca, coeffs)
-            worst_gap = max(worst_gap, near["gap"])
-            least = min(margins)
-            gap, allowance = near["gap"], near["allowance"]
-            z_norm, upper = near["z_norm"], near["upper"]
-            # (name, holds, measured, bound, slack) of every inequality checked
-            checks = [
-                ("coefficient_bound", holds, least, 0.0, least),
-                ("defect", defect, gap, allowance, allowance - gap),
-                ("distortion", distortion, z_norm, upper, min(z_norm - near["lower"], upper - z_norm)),
-            ]
-            try:
-                lower_holds, upper_holds, transfer = verify_transfer_bounds(ca, T, coeffs)
-            except ZeroVector:
-                pass
-            else:
-                ratio = transfer["z_ratio"]
-                low, high = transfer["lower_threshold"], transfer["upper_threshold"]
-                checks.append(("transfer_lower", lower_holds, ratio, low, ratio - low))
-                checks.append(("transfer_upper", upper_holds, ratio, high, high - ratio))
-            violations.extend(
-                _violation(f"system[{i}].{name}[{j}]", measured, bound, slack)
-                for name, ok, measured, bound, slack in checks
-                if not ok
-            )
+        certificates = certify_construction(ca)
+        violations.extend(
+            _violation(f"system[{i}].{name}", measured, bound, slack)
+            for name, holds, measured, bound, slack in certificates
+            if not holds
+        )
         results.append(
             {
                 "kind": "construction_system",
@@ -387,8 +365,7 @@ def _run_construction(config: ExperimentConfig, seed: int, results: list, violat
                 "c": float(c),
                 "operator_norm": float(ca.T_norm),
                 "budgets": [float(b) for b in ca.budgets],
-                "combos": int(combos),
-                "worst_defect_gap": float(worst_gap),
+                "certified": {name: float(measured) for name, _, measured, _, _ in certificates},
             }
         )
 
@@ -560,7 +537,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "epsilon": args.epsilon,
             "c": args.c,
             "systems": args.systems,
-            "combos": args.combos,
         },
     }
     return _run_and_write(args, json.dumps(data))
@@ -604,7 +580,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--epsilon", type=float, required=True)
     p_v.add_argument("--c", type=float, required=True)
     p_v.add_argument("--systems", type=int, default=3)
-    p_v.add_argument("--combos", type=int, default=200)
     p_v.add_argument("--seed", type=int)
     p_v.add_argument("--out")
     p_v.set_defaults(handler=_cmd_verify)

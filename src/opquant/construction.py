@@ -3,12 +3,13 @@
 Given a subspace M (or the ambient space), this module builds a
 biorthogonal system m_n, x'_n, approximates each m_n by a finitely
 supported z_n inside the kernel intersection of the earlier functionals
-under a geometric error budget, and verifies that the correspondence
-A : z_i -> m_i is a near isometry whose restricted norms and moduli
-transfer between span{z_n} and span{m_n} with (1 +/- eps) distortion.
-The four invariance experiments instantiate the constant c from a
-measured quantity on a witness subspace and check the concluding bound
-on the constructed span.
+under a geometric error budget, and certifies from the Gram matrices,
+over every combination at once, that A : z_i -> m_i is a near isometry
+whose restricted norms and moduli transfer between span{z_n} and
+span{m_n} with (1 +/- eps) distortion; the verify_* checks test one
+combination.  The four invariance experiments instantiate the constant c
+from a measured quantity on a witness subspace and check the concluding
+bound on the constructed span.
 """
 
 from __future__ import annotations
@@ -229,10 +230,13 @@ def check_coefficient_bound(
     return all(m >= -INEQUALITY_SLACK for m in margins), margins
 
 
+def _budget_factor(c: float, T_norm: float) -> float:
+    return 1.0 if T_norm == 0.0 else min(1.0, c / T_norm)
+
+
 def budget_bound(n: int, epsilon: float, c: float, T_norm: float) -> float:
     """The step-n distance budget 2^(1-2n) * epsilon * min{1, c/||T||}."""
-    factor = 1.0 if T_norm == 0.0 else min(1.0, c / T_norm)
-    return 2.0 ** (1 - 2 * n) * epsilon * factor
+    return 2.0 ** (1 - 2 * n) * epsilon * _budget_factor(c, T_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,12 +249,12 @@ class CoreApproximation:
     bound.
 
     The l^2 Gram matrices make every check on a combination sum a_i z_i a
-    quadratic form a^T G a: gram_z of the z_n, gram_defects of the d_n,
-    and gram_tz and gram_tm of the images T z_n and T m_n under operator,
-    the T the approximants were built with (the m_n themselves have
-    system.gram_m).  Each is built on first read.  gram_defects comes
-    from the exact differences: expanding ||z - Az||^2 through gram_z and
-    gram_m would lose the 1e-9 inequality slack to cancellation.
+    quadratic form a^T G a: gram_z of the z_n, gram_defects of the d_n, and
+    gram_tz, gram_tm and gram_tdefects of the images T z_n, T m_n and T d_n
+    under operator, the T of the build (the m_n have system.gram_m).  Each
+    is built on first read.  The two defect Grams come from the exact d_n:
+    expanding them through gram_z and gram_m (or their images) would lose
+    the 1e-9 inequality slack to cancellation.
     """
 
     system: BiorthogonalSystem
@@ -266,6 +270,7 @@ class CoreApproximation:
     gram_defects = cached_property(lambda self: gram(self.defects))
     gram_tz = cached_property(lambda self: _image_gram(self.operator, self.z))
     gram_tm = cached_property(lambda self: _image_gram(self.operator, self.targets))
+    gram_tdefects = cached_property(lambda self: _image_gram(self.operator, self.defects))
 
     @property
     def targets(self) -> tuple[TailVector, ...]:
@@ -423,8 +428,7 @@ def verify_near_isometry(
     gap = _form_norm(ca.gram_defects, a)
     z_norm = _form_norm(ca.gram_z, a)
     az_norm = _form_norm(ca.system.gram_m, a)
-    factor = 1.0 if ca.T_norm == 0.0 else min(1.0, ca.c / ca.T_norm)
-    allowance = ca.epsilon * factor * az_norm
+    allowance = ca.epsilon * _budget_factor(ca.c, ca.T_norm) * az_norm
     defect_holds = gap <= allowance + INEQUALITY_SLACK
     lower = (1.0 - ca.epsilon) * az_norm
     upper = (1.0 + ca.epsilon) * az_norm
@@ -472,6 +476,34 @@ def verify_transfer_bounds(
         "upper_threshold": upper_threshold,
     }
     return lower_holds, upper_holds, measured
+
+
+def certify_construction(ca: CoreApproximation) -> list[tuple[str, bool, float, float, float]]:
+    """(name, holds, measured, bound, slack) of each suite inequality over every a != 0.
+
+    With z = sum a_i z_i, Az = sum a_i m_i and G = ca.system.gram_m, each
+    worst case is a closed form: coefficient_bound is max_i sqrt((G^-1)_ii)
+    / 2^(i-1) = sup max_i |a_i| / (2^(i-1) ||Az||) against 1; by extreme
+    generalized eigenvalues, defect is sup ||z - Az|| / ||Az|| against
+    eps min{1, c/||T||}, distortion_lower and distortion_upper are inf and
+    sup ||z|| / ||Az|| against 1 -/+ eps, and transfer is t = sup
+    ||T(z - Az)|| / ||Az|| against eps c.  With the distortion bounds, t
+    gives verify_transfer_bounds on every a: sufficient, not exact.
+    """
+    g, eps = ca.system.gram_m, ca.epsilon
+    coefficient = max(math.sqrt(v) / 2.0**i for i, v in enumerate(np.diag(scipy.linalg.inv(g))))
+    defect = math.sqrt(float(_restricted_eigs(ca.gram_defects, g)[-1]))
+    z_low, z_high = np.sqrt(_restricted_eigs(ca.gram_z, g)[[0, -1]]).tolist()
+    transfer = math.sqrt(float(_restricted_eigs(ca.gram_tdefects, g)[-1]))
+    allowance = eps * _budget_factor(ca.c, ca.T_norm)
+    checks = [
+        ("coefficient_bound", coefficient, 1.0, 1.0 - coefficient),
+        ("defect", defect, allowance, allowance - defect),
+        ("distortion_lower", z_low, 1.0 - eps, z_low - (1.0 - eps)),
+        ("distortion_upper", z_high, 1.0 + eps, 1.0 + eps - z_high),
+        ("transfer", transfer, eps * ca.c, eps * ca.c - transfer),
+    ]
+    return [(name, slack >= -INEQUALITY_SLACK, m, b, slack) for name, m, b, slack in checks]
 
 
 def check_dense_intersection(

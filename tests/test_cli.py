@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opquant
 from opquant import construction
 from opquant.cli import (
     _PARAMETERS,
@@ -25,12 +26,10 @@ from opquant.cli import (
 from opquant.construction import (
     build_biorthogonal,
     build_core_approximants,
-    check_coefficient_bound,
+    certify_construction,
     run_invariance_case,
-    verify_near_isometry,
-    verify_transfer_bounds,
 )
-from opquant.errors import ConfigError, ZeroVector
+from opquant.errors import ConfigError
 from opquant.quantities import QUANTITIES, limit_estimate
 from opquant.sampling import odd_coordinate_witness, sample_witness_subspace
 
@@ -120,7 +119,10 @@ class TestParseConfig:
             ({**MINIMAL, "operator": None}, "operator: required for quantities"),
             ({**MINIMAL, "operator": {"kind": "mystery"}}, "operator: unknown operator kind"),
             (with_params(MINIMAL, c=0.0), "parameters.c: must be positive"),
-            (with_params(MINIMAL, delta=-1.0), "parameters.delta: must be positive"),
+            (
+                {**MINIMAL, "experiment": "invariance_case", "parameters": {"delta": -1.0}},
+                "parameters.delta: must be positive",
+            ),
             (with_params(MINIMAL, seed=-2), "parameters.seed: must be a nonnegative integer"),
             (with_params(MINIMAL, quantity="Sigma"), "parameters.quantity: must be one of"),
             (with_params(MINIMAL, method="magic"), "parameters.method: must be one of"),
@@ -189,12 +191,14 @@ class TestRun:
             "space": {"p": 2},
             "operator": {"kind": "diagonal", "periodic": [1.0, 2.0]},
             "experiment": "construction_suite",
-            "parameters": {"epsilon": 0.1, "c": 1.0, "systems": 2, "combos": 20},
+            "parameters": {"epsilon": 0.1, "c": 1.0, "systems": 2},
         }
         report = run(parse(data))
         assert report.exit_code == 0
         assert [r["dim"] for r in report.results] == [2, 3]
-        assert all(r["worst_defect_gap"] >= 0.0 for r in report.results)
+        for result in report.results:
+            assert list(result["certified"]) == CERTIFICATES
+            assert 0.0 < result["certified"]["defect"] < 0.1
 
     def test_lemma_check(self):
         data = {
@@ -222,10 +226,31 @@ class TestRun:
         assert run(config).to_json() == run(config).to_json()
 
 
+CERTIFICATES = ["coefficient_bound", "defect", "distortion_lower", "distortion_upper", "transfer"]
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def test_readme_lists_every_parameter():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    """The names every experiment accepts, then one line per experiment."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     bullet = re.search(r"^- `parameters` (.*?)\n(?=- |\n)", readme, re.M | re.S).group(1)
-    assert set(re.findall(r"`([a-z_]+)[`\s]", bullet)) == _PARAMETERS
+    shared, *rows = bullet.split("\n  - ")
+
+    def names(text):
+        return set(re.findall(r"`([a-z_]+)[`\s]", text))
+
+    listed = {}
+    for row in rows:
+        experiment, rest = re.match(r"`([a-z_]+)`: (.*)", row, re.S).groups()
+        listed[experiment] = names(shared) | names(rest)
+    assert listed == _PARAMETERS
+
+
+def test_pyproject_version_matches_the_package():
+    # a regex, since tomllib arrived only in Python 3.11
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]*)"$', project, re.M).group(1) == opquant.__version__
 
 
 ALTERNATING = {"kind": "diagonal", "periodic": [1.0, 2.0]}
@@ -248,47 +273,23 @@ class TestViolationLists:
             {
                 "operator": operator,
                 "experiment": "construction_suite",
-                "parameters": {"epsilon": epsilon, "c": c, "systems": 3, "combos": 30, "seed": seed},
+                "parameters": {"epsilon": epsilon, "c": c, "systems": 3, "seed": seed},
             }
         )
         T = config.build_operator()
         expected = []
         for i in range(3):
-            rng = np.random.default_rng([seed, i])
             dim = 2 + i % 3
-            system = build_biorthogonal(sample_witness_subspace(rng, dim), dim, seed=seed + i)
-            ca = build_core_approximants(system, T, epsilon, c)
-            for j in range(30):
-                coeffs = rng.uniform(-1.0, 1.0, size=dim)
-                holds, margins = check_coefficient_bound(system, coeffs)
-                if not holds:
-                    expected.append(
-                        violation(f"system[{i}].coefficient_bound[{j}]", min(margins), 0.0, min(margins))
-                    )
-                defect, distortion, near = verify_near_isometry(ca, coeffs)
-                if not defect:
-                    slack = near["allowance"] - near["gap"]
-                    expected.append(
-                        violation(f"system[{i}].defect[{j}]", near["gap"], near["allowance"], slack)
-                    )
-                if not distortion:
-                    slack = min(near["z_norm"] - near["lower"], near["upper"] - near["z_norm"])
-                    expected.append(
-                        violation(f"system[{i}].distortion[{j}]", near["z_norm"], near["upper"], slack)
-                    )
-                try:
-                    lower, upper, transfer = verify_transfer_bounds(ca, T, coeffs)
-                except ZeroVector:
-                    continue
-                ratio = transfer["z_ratio"]
-                if not lower:
-                    low = transfer["lower_threshold"]
-                    expected.append(violation(f"system[{i}].transfer_lower[{j}]", ratio, low, ratio - low))
-                if not upper:
-                    high = transfer["upper_threshold"]
-                    expected.append(violation(f"system[{i}].transfer_upper[{j}]", ratio, high, high - ratio))
-        kinds = {re.sub(r"\[\d+\]", "", e["name"]).split(".")[1] for e in expected}
-        assert kinds == {"coefficient_bound", "defect", "distortion", "transfer_lower", "transfer_upper"}
+            M = sample_witness_subspace(np.random.default_rng([seed, i]), dim)
+            ca = build_core_approximants(build_biorthogonal(M, dim, seed=seed + i), T, epsilon, c)
+            certificates = certify_construction(ca)
+            assert [name for name, *_ in certificates] == CERTIFICATES
+            expected += [
+                violation(f"system[{i}].{name}", measured, bound, slack)
+                for name, holds, measured, bound, slack in certificates
+                if not holds
+            ]
+        assert len(expected) == 15
         report = run(config)
         assert report.exit_code == 1
         assert report.violations == expected
@@ -445,7 +446,7 @@ class TestReportBytes:
                 "space": {"p": 2},
                 "operator": {"kind": "dense", "block": [[1.0, 0.2], [0.0, 0.5]]},
                 "experiment": "construction_suite",
-                "parameters": {"epsilon": 0.1, "c": 1.0, "systems": 2, "combos": 5},
+                "parameters": {"epsilon": 0.1, "c": 1.0, "systems": 2},
             },
             {
                 "space": {"p": 2},
@@ -566,6 +567,27 @@ class TestCommandLine:
         assert result.stdout == ""
         assert result.stderr == "config error: parameters: unknown field 'epsillon'\n"
 
+    @pytest.mark.parametrize(
+        "parameters, name",
+        [
+            ({"epsilon": 0.1, "systems": 1, "combos": 5}, "combos"),
+            # knobs of lemma_check and quantities given to a construction suite
+            ({"samples": 5, "functionals": 2, "schedule": [[4, 1, 1]]}, "samples"),
+        ],
+    )
+    def test_run_exit_two_on_foreign_parameter(self, tmp_path, parameters, name):
+        data = {
+            "operator": {"kind": "diagonal", "periodic": [1.0, 2.0]},
+            "experiment": "construction_suite",
+            "parameters": parameters,
+        }
+        path = tmp_path / "foreign.json"
+        path.write_text(json.dumps(data))
+        result = cli("run", "--config", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"config error: parameters: unknown field {name!r}\n"
+
     def test_run_exit_two_on_functional_cap(self, tmp_path):
         path = tmp_path / "many.json"
         path.write_text(json.dumps({"experiment": "lemma_check", "parameters": {"functionals": 20000}}))
@@ -599,10 +621,19 @@ class TestCommandLine:
     def test_verify_construction(self):
         result = cli(
             "verify", "--suite", "construction",
-            "--epsilon", "0.2", "--c", "1.0", "--systems", "1", "--combos", "10",
+            "--epsilon", "0.2", "--c", "1.0", "--systems", "1",
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["violations"] == []
+
+    def test_verify_exit_two_on_combos(self):
+        result = cli(
+            "verify", "--suite", "construction",
+            "--epsilon", "0.2", "--c", "1.0", "--systems", "1", "--combos", "10",
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith("error: unrecognized arguments: --combos 10\n")
 
     def test_seed_precedence(self, tmp_path):
         data = with_params(IDENTITY, seed=3)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from opquant import (
     ELL2,
     ELLINF,
     BudgetInfeasible,
+    DenseMatrix,
     Diagonal,
     ExhaustedSubspace,
     FiniteRankPlus,
@@ -27,6 +29,7 @@ from opquant import (
     budget_bound,
     build_biorthogonal,
     build_core_approximants,
+    certify_construction,
     check_coefficient_bound,
     check_dense_intersection,
     functional_from_representer,
@@ -382,6 +385,83 @@ class TestTransferBounds:
         coeffs = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(DegenerateBasis):
             _sub_basis_eigs(tail_ca.gram_tz, tail_ca.gram_z, coeffs)
+
+
+OPERATORS = {
+    "diagonal": ALT12,
+    "shift": SHIFT,
+    "finite_rank_plus": FRP,
+    "dense": DenseMatrix([[1.0, 0.2, -0.4], [0.3, -0.5, 0.1], [0.0, 0.6, 0.2]]),
+}
+
+
+def within(value, bound):
+    """value <= bound to 1e-12 relative."""
+    return value <= bound + 1e-12 * abs(bound)
+
+
+class TestCertificates:
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 4),
+        kind=st.sampled_from(sorted(OPERATORS)),
+        epsilon=st.floats(0.01, 0.5),
+        c=st.floats(0.5, 2.0),
+    )
+    def test_sampled_combinations_stay_within(self, seed, dim, kind, epsilon, c):
+        """The sampled suite as a reference: no sampled ratio passes its certified extreme."""
+        rng = np.random.default_rng(seed)
+        T = OPERATORS[kind]
+        system = build_biorthogonal(sample_witness_subspace(rng, dim), dim, seed=seed)
+        ca = build_core_approximants(system, T, epsilon, c)
+        certificates = certify_construction(ca)
+        assert all(holds for _, holds, *_ in certificates)
+        coefficient, defect, low, high, t = (measured for _, _, measured, _, _ in certificates)
+        # attained at i = 1: m_1 is orthogonal to every later m_n
+        assert coefficient == pytest.approx(1.0, rel=1e-12)
+        for a in rng.uniform(-1.0, 1.0, (200, dim)):
+            holds, _ = check_coefficient_bound(system, a)
+            defect_holds, distortion_holds, near = verify_near_isometry(ca, a)
+            lower_holds, upper_holds, transfer = verify_transfer_bounds(ca, T, a)
+            assert holds and defect_holds and distortion_holds and lower_holds and upper_holds
+            az = near["az_norm"]
+            assert within(max(abs(x) / (2.0**i * az) for i, x in enumerate(a)), coefficient)
+            assert within(near["gap"] / az, defect)
+            assert within(low, near["z_norm"] / az) and within(near["z_norm"] / az, high)
+            rho_m, rho_z = transfer["az_ratio"], transfer["z_ratio"]
+            assert within((rho_m - t) / high, rho_z) and within(rho_z, (rho_m + t) / low)
+
+
+    @pytest.mark.parametrize("kind", sorted(OPERATORS))
+    def test_attained_by_tail_vectors(self, kind):
+        """Each certified extreme is the ratio at its extremal combination, measured exactly."""
+        T = OPERATORS[kind]
+        system = build_biorthogonal(sample_witness_subspace(np.random.default_rng(7), 3), 3, seed=7)
+        ca = build_core_approximants(system, T, 0.1, 1.0)
+        g = system.gram_m
+        certified = {name: measured for name, _, measured, _, _ in certify_construction(ca)}
+
+        def defect(z, az):
+            return linear_combine([1.0, -1.0], [z, az])
+
+        # |a_1| / ||Az|| is largest at a = G^-1 e_1, here scaled to a_1 = 1
+        first = np.linalg.solve(g, [1.0, 0.0, 0.0])
+        extremes = [
+            ("coefficient_bound", first / first[0], lambda z, az: 1.0 / norm(az)),
+            ("defect", top(ca.gram_defects, g), lambda z, az: norm(defect(z, az))),
+            ("distortion_lower", scipy.linalg.eigh(ca.gram_z, g)[1][:, 0], lambda z, az: norm(z)),
+            ("distortion_upper", top(ca.gram_z, g), lambda z, az: norm(z)),
+            ("transfer", top(ca.gram_tdefects, g), lambda z, az: norm(apply(T, defect(z, az)))),
+        ]
+        for name, a, numerator in extremes:
+            z, az = ca.combine(a)
+            assert numerator(z, az) / norm(az) == pytest.approx(certified[name], rel=1e-9), name
+
+
+def top(gram_image, gram_m):
+    """The combination at which a^T gram_image a / a^T gram_m a is largest."""
+    return scipy.linalg.eigh(gram_image, gram_m)[1][:, -1]
 
 
 def assert_same(value, expected):
