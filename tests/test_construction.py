@@ -400,6 +400,11 @@ def within(value, bound):
     return value <= bound + 1e-12 * abs(bound)
 
 
+def top(gram_image, gram_m):
+    """The combination at which a^T gram_image a / a^T gram_m a is largest."""
+    return scipy.linalg.eigh(gram_image, gram_m)[1][:, -1]
+
+
 class TestCertificates:
     @settings(max_examples=100)
     @given(
@@ -432,7 +437,6 @@ class TestCertificates:
             rho_m, rho_z = transfer["az_ratio"], transfer["z_ratio"]
             assert within((rho_m - t) / high, rho_z) and within(rho_z, (rho_m + t) / low)
 
-
     @pytest.mark.parametrize("kind", sorted(OPERATORS))
     def test_attained_by_tail_vectors(self, kind):
         """Each certified extreme is the ratio at its extremal combination, measured exactly."""
@@ -457,11 +461,6 @@ class TestCertificates:
         for name, a, numerator in extremes:
             z, az = ca.combine(a)
             assert numerator(z, az) / norm(az) == pytest.approx(certified[name], rel=1e-9), name
-
-
-def top(gram_image, gram_m):
-    """The combination at which a^T gram_image a / a^T gram_m a is largest."""
-    return scipy.linalg.eigh(gram_image, gram_m)[1][:, -1]
 
 
 def assert_same(value, expected):
