@@ -21,12 +21,10 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BudgetInfeasible,
     DegenerateBasis,
-    DegenerateFunctionals,
     ExhaustedSubspace,
     IncompatibleTails,
     InvalidWitness,
@@ -42,7 +40,10 @@ from .seqspace import (
     Subspace,
     TailVector,
     _check_positive_definite,
+    _full_rank,
+    _project_off,
     _remainder_norm,
+    _representer_gram,
     gram,
     linear_combine,
     norm,
@@ -132,6 +133,17 @@ def _next_ell2_vector(
     raise ExhaustedSubspace("no nonzero kernel-intersection vector found in the window")
 
 
+def _null_space(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the null space of rows.
+
+    The numerical rank counts the singular values above eps * max(shape)
+    times the largest.
+    """
+    _, s, vh = np.linalg.svd(rows, full_matrices=True)
+    rank = np.count_nonzero(s > np.max(s, initial=0.0) * np.finfo(np.float64).eps * max(rows.shape))
+    return vh[rank:].T
+
+
 def _next_sign_dual_vector(
     basis: Sequence[TailVector],
     used: int,
@@ -145,8 +157,7 @@ def _next_sign_dual_vector(
     k = len(basis)
     if not functionals:
         return basis[used]
-    rows = np.array([[pairing(f, b) for b in basis] for f in functionals])
-    null = scipy.linalg.null_space(rows)
+    null = _null_space(np.array([[pairing(f, b) for b in basis] for f in functionals]))
     if null.shape[1] == 0:
         raise ExhaustedSubspace("kernel intersection is trivial in the window")
     # prefer the null direction closest to the next unused basis vector
@@ -359,13 +370,18 @@ def _core_member(
 
     z is m truncated to coordinates 1..J and projected in the window; J
     doubles until the exact defect fits, and a window above MAX_WINDOW
-    raises BudgetInfeasible before it is allocated.
+    raises BudgetInfeasible before it is allocated.  The defect is at
+    least the discarded tail of m, so J doubles without building anything
+    while that tail's exact norm is above tol.
     """
     while True:
         if J > MAX_WINDOW:
             raise BudgetInfeasible(
                 f"{what} needs a window of {J} coordinates, above the cap of {MAX_WINDOW}"
             )
+        if _remainder_norm(m, J, ELL2) > tol * (1.0 + 1e-12):
+            J *= 2
+            continue
         projected = _window_kernel_projection(m.coords(J), functionals)
         if projected is not None:
             z = TailVector(projected)
@@ -491,7 +507,7 @@ def certify_construction(ca: CoreApproximation) -> list[tuple[str, bool, float, 
     gives verify_transfer_bounds on every a: sufficient, not exact.
     """
     g, eps = ca.system.gram_m, ca.epsilon
-    coefficient = max(math.sqrt(v) / 2.0**i for i, v in enumerate(np.diag(scipy.linalg.inv(g))))
+    coefficient = max(math.sqrt(v) / 2.0**i for i, v in enumerate(np.diag(np.linalg.inv(g))))
     defect = math.sqrt(float(_restricted_eigs(ca.gram_defects, g)[-1]))
     z_low, z_high = np.sqrt(_restricted_eigs(ca.gram_z, g)[[0, -1]]).tolist()
     transfer = math.sqrt(float(_restricted_eigs(ca.gram_tdefects, g)[-1]))
@@ -519,9 +535,7 @@ def check_dense_intersection(
     a window above MAX_WINDOW raises BudgetInfeasible.
     """
     if functionals:
-        _check_positive_definite(
-            gram([f.representer for f in functionals]), DegenerateFunctionals, "lemma functionals"
-        )
+        reps, g = _representer_gram(functionals, "lemma functionals")
     ratios = sorted({f.representer.tail_ratio for f in functionals if not f.representer.has_zero_tail})
     if len(ratios) > 1:
         raise IncompatibleTails("lemma functionals must share one tail ratio for exact projection")
@@ -539,7 +553,7 @@ def check_dense_intersection(
         coeffs = rng.standard_normal(int(rng.integers(1, 4)))
         m = TailVector(prefix, coeffs, ratio)
         if functionals:
-            m = project_into_kernels(m, functionals)
+            m = _project_off(m, reps, g)
         if norm(m) == 0.0:
             continue
         _, _, distance, J = _core_member(m, functionals, max(m.anchor, base, 8), tol, f"lemma sample {i}")
@@ -613,12 +627,18 @@ def sub_basis_coefficients(dim: int, samples: int, seed: int) -> Iterator[np.nda
         yield rng.standard_normal((dim, r))
 
 
-def _sub_basis_eigs(gram_t: np.ndarray, gram_v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """_restricted_eigs on the span of the combinations sum_i coeffs[i, j] v_i.
+def _congruence(g: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """C^T g C for a coefficient matrix C, or for each one of a stack."""
+    return coeffs.swapaxes(-1, -2) @ g @ coeffs
 
-    gram_v is the Gram matrix of the v_i and gram_t that of their images.
+
+def _sub_basis_eigs(gram_t: np.ndarray, gram_v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """_restricted_eigs on the span of the combinations sum_i coeffs[..., i, j] v_i.
+
+    gram_v is the Gram matrix of the v_i and gram_t that of their images;
+    coeffs is one dim x r matrix or a stack of them.
     """
-    return _restricted_eigs(coeffs.T @ gram_t @ coeffs, coeffs.T @ gram_v @ coeffs)
+    return _restricted_eigs(_congruence(gram_t, coeffs), _congruence(gram_v, coeffs))
 
 
 def run_invariance_case(
@@ -674,23 +694,25 @@ def run_invariance_case(
         else:
             passed = value <= threshold + INEQUALITY_SLACK
         return CaseReport(part, c, delta, epsilon, witness_M, L, measured, passed)
+    # V = span{Z C} for Z = (z_n) and AV = span{M C} for M = (m_n), with
+    # the coefficient matrices C stacked by their rank r
+    stacks: dict[int, list[np.ndarray]] = {}
+    for coeffs in sub_basis_coefficients(len(ca.z), sub_basis_samples, seed):
+        stacks.setdefault(coeffs.shape[1], []).append(coeffs)
     tested = triggered = 0
     worst = math.inf
-    # V = span{Z C} for Z = (z_n) and AV = span{M C} for M = (m_n)
-    for coeffs in sub_basis_coefficients(len(ca.z), sub_basis_samples, seed):
-        try:
-            v_eigs = _sub_basis_eigs(ca.gram_tz, ca.gram_z, coeffs)
-            av_eigs = _sub_basis_eigs(ca.gram_tm, ca.system.gram_m, coeffs)
-        except DegenerateBasis:
-            continue
-        tested += 1
+    for stack in map(np.stack, stacks.values()):
+        # a sub-basis that fails the rank rule on either side is skipped
+        stack = stack[_full_rank(_congruence(ca.gram_z, stack)) & _full_rank(_congruence(ca.system.gram_m, stack))]
+        tested += stack.shape[0]
+        v_values = np.sqrt(_sub_basis_eigs(ca.gram_tz, ca.gram_z, stack)[:, extreme])
+        av_values = np.sqrt(_sub_basis_eigs(ca.gram_tm, ca.system.gram_m, stack)[:, extreme])
         # the image side triggers past c on the optimum's side; the margin
         # is how far the preimage stays inside the threshold
-        av_value = math.sqrt(float(av_eigs[extreme]))
-        v_value = math.sqrt(float(v_eigs[extreme]))
-        if (av_value > c) if shape.supremum else (av_value < c):
-            triggered += 1
-            worst = min(worst, v_value - threshold if shape.supremum else threshold - v_value)
+        hit = av_values > c if shape.supremum else av_values < c
+        triggered += int(np.count_nonzero(hit))
+        margins = v_values[hit] - threshold if shape.supremum else threshold - v_values[hit]
+        worst = min(worst, float(np.min(margins, initial=math.inf)))
     measured.update(
         {
             "sub_bases_tested": tested,

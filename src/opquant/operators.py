@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadDimensions, DegenerateBasis
 from .seqspace import (
@@ -222,15 +221,27 @@ def restriction_data(T: Operator, M: Subspace) -> tuple[np.ndarray, np.ndarray]:
     return gram(images), gram(M.basis)
 
 
+def _pencil_eigs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric-definite pencil (a, b), ascending, clipped at 0.
+
+    With b = L L^T they are the eigenvalues of L^-1 a L^-T, the Cholesky
+    reduction that LAPACK's sygvd performs.  a and b may be stacks
+    (..., n, n); each matrix of a stack is solved as a single call would.
+    """
+    L = np.linalg.cholesky(b)
+    reduced = np.linalg.solve(L, np.linalg.solve(L, a).swapaxes(-1, -2))
+    return np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
+
+
 def _restricted_eigs(gram_TM: np.ndarray, gram_M: np.ndarray) -> np.ndarray:
     """Squares of ||Tm||/||m|| at the critical points of a span, ascending.
 
-    gram_M is the Gram matrix of a basis and gram_TM that of its image;
-    a basis failing the rank tolerance raises DegenerateBasis.
+    gram_M is the Gram matrix of a basis and gram_TM that of its image,
+    or stacks of both; a basis failing the rank tolerance raises
+    DegenerateBasis.
     """
     _check_positive_definite(gram_M, DegenerateBasis, "restriction basis")
-    eigs = scipy.linalg.eigh(gram_TM, gram_M, eigvals_only=True)
-    return np.clip(eigs, 0.0, None)
+    return _pencil_eigs(gram_TM, gram_M)
 
 
 def _eigs_on(T: Operator, M: Subspace) -> np.ndarray:

@@ -182,7 +182,9 @@ def _alternating_search(
     no stacked array outgrows one capped window; a restart leaves the
     stack at its first step that does not improve.
     Stacked linalg computes each frame exactly as a per-frame call
-    would, so the result is the first best frame in restart order.
+    would, so the result is the first best frame in restart order.  With
+    dim = 1 every restart's complement is the whole window, so its
+    candidate, the extremal right singular vector of A, is computed once.
     """
     if restarts < 1:
         raise BadDimensions(f"restarts must be >= 1, got {restarts}")
@@ -193,23 +195,29 @@ def _alternating_search(
     rng = np.random.default_rng(seed)
     best_val = None
     best_Q = None
+    if dim == 1:
+        line = np.eye(n) @ np.linalg.svd(A @ np.eye(n), full_matrices=False)[2][pick]
+        line_val = np.linalg.svd(A @ line[:, None], compute_uv=False)[obj_index]
     for start in range(0, restarts, stack):
         size = min(stack, restarts - start)
         Q, _ = np.linalg.qr(rng.standard_normal((size, n, dim)))
         val = np.linalg.svd(A @ Q, compute_uv=False)[:, obj_index]
+        if dim == 1:
+            # each restart's one step leads onto the line, or stops it; a
+            # restart on the line cannot improve on it
+            tol = 1e-14 * (1.0 + np.abs(val))
+            better = line_val > val + tol if maximize else line_val < val - tol
+            Q[better], val[better] = line[:, None], line_val
         eye = np.broadcast_to(np.eye(n), (size, n, n))
-        active = np.arange(size)
+        active = np.arange(size if dim > 1 else 0)
         for _ in range(200):
             if active.size == 0:
                 break
             Qa, va = Q[active], val[active]
             _, _, Vt = np.linalg.svd(A @ Qa, full_matrices=False)
             kept = Qa @ np.delete(Vt, drop, axis=1).swapaxes(1, 2)
-            if dim == 1:
-                C = eye[: active.size]
-            else:
-                full, _ = np.linalg.qr(np.concatenate([kept, eye[: active.size]], axis=2), mode="complete")
-                C = full[:, :, dim - 1 :]
+            full, _ = np.linalg.qr(np.concatenate([kept, eye[: active.size]], axis=2), mode="complete")
+            C = full[:, :, dim - 1 :]
             _, _, Vct = np.linalg.svd(A @ C, full_matrices=False)
             candidate = np.concatenate([kept, C @ Vct[:, pick, :, None]], axis=2)
             cand_val = np.linalg.svd(A @ candidate, compute_uv=False)[:, obj_index]

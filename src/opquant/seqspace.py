@@ -323,11 +323,30 @@ def gram(basis: Sequence[TailVector]) -> np.ndarray:
     return g
 
 
-def _check_positive_definite(g: np.ndarray, error: type, what: str) -> np.ndarray:
+def _full_rank(g: np.ndarray) -> np.ndarray:
+    """Where a nonempty Gram matrix, or each one of a stack, passes GRAM_RANK_TOL.
+
+    The rule: the largest eigenvalue is positive and the smallest lies
+    above GRAM_RANK_TOL times the largest.
+    """
     eigs = np.linalg.eigvalsh(g)
-    if eigs.size == 0 or eigs[-1] <= 0.0 or eigs[0] <= GRAM_RANK_TOL * eigs[-1]:
-        raise error(f"{what}: Gram spectrum {eigs} fails the rank tolerance {GRAM_RANK_TOL}")
-    return eigs
+    return (eigs[..., -1] > 0.0) & (eigs[..., 0] > GRAM_RANK_TOL * eigs[..., -1])
+
+
+def _check_positive_definite(g: np.ndarray, error: type, what: str) -> None:
+    """Raise error unless g, or every matrix of a stack of them, has full rank."""
+    if g.shape[-1] == 0 or not np.all(_full_rank(g)):
+        raise error(f"{what}: Gram spectrum {np.linalg.eigvalsh(g)} fails the rank tolerance {GRAM_RANK_TOL}")
+
+
+def _representer_gram(
+    functionals: Sequence[LinearFunctional], what: str
+) -> tuple[list[TailVector], np.ndarray]:
+    """The representers of nonempty functionals and their Gram matrix, checked for rank."""
+    reps = [f.representer for f in functionals]
+    g = gram(reps)
+    _check_positive_definite(g, DegenerateFunctionals, what)
+    return reps, g
 
 
 def project_into_kernels(
@@ -344,9 +363,11 @@ def project_into_kernels(
         raise ValueError("kernel projection requires p = 2")
     if not functionals:
         return v
-    reps = [f.representer for f in functionals]
-    g = gram(reps)
-    _check_positive_definite(g, DegenerateFunctionals, "functional representers")
+    return _project_off(v, *_representer_gram(functionals, "functional representers"))
+
+
+def _project_off(v: TailVector, reps: Sequence[TailVector], g: np.ndarray) -> TailVector:
+    """v minus its orthogonal projection onto span(reps), whose Gram matrix is g."""
     result = v
     # one refinement pass guards against mild ill-conditioning
     for _ in range(2):

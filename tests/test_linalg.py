@@ -1,0 +1,296 @@
+"""The numpy-only linear algebra: pencil eigenvalues, the rank rule, null
+spaces, the stacked sub-basis check, lemma windows and the dim-1 search.
+
+scipy serves only as a reference here; the library never imports it.
+"""
+
+import itertools
+import json
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opquant import ELL1, ELLINF, DegenerateBasis, Diagonal, FiniteRankPlus, Subspace, TailVector, WeightedShift
+from opquant import construction, seqspace
+from opquant.construction import (
+    _null_space,
+    _sub_basis_eigs,
+    build_biorthogonal,
+    check_dense_intersection,
+    run_invariance_case,
+    sub_basis_coefficients,
+)
+from opquant.operators import _pencil_eigs, _restricted_eigs, window_action_matrix
+from opquant.quantities import _alternating_search
+from opquant.sampling import odd_coordinate_witness, sample_lemma_functionals
+from opquant.seqspace import GRAM_RANK_TOL, _check_positive_definite, _full_rank
+
+ALT12 = Diagonal(periodic_values=(1.0, 2.0))
+SHIFT = WeightedShift(prefix_values=(0.7, 1.3), periodic_values=(1.0, 0.5))
+FRP = FiniteRankPlus(
+    [[0.4, -0.3, 0.1], [0.2, 0.5, -0.2], [-0.1, 0.3, 0.6]], Diagonal(periodic_values=(1.0, 2.0))
+)
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """Each experiment kind, verify, vectors and a p = 1 build leave scipy unimported."""
+    configs = {
+        "quantities": {"quantity": "Delta", "schedule": [[6, 1, 2], [8, 2, 3]], "method": "grassmann_search", "restarts": 4},
+        "construction_suite": {"epsilon": 0.1, "c": 1.0, "systems": 2},
+        "invariance_case": {"part": "Nabla", "epsilon": 0.1, "delta": 0.05},
+        "lemma_check": {"functionals": 2, "samples": 5},
+    }
+    paths = []
+    for experiment, parameters in configs.items():
+        path = tmp_path / f"{experiment}.json"
+        operator = {"kind": "finite_rank_plus", "periodic": [1.0, 2.0], "block": [[0.5, 0.1], [0.2, -0.3]]}
+        path.write_text(json.dumps({"space": {"p": 2}, "operator": operator, "experiment": experiment, "parameters": parameters}))
+        paths.append(str(path))
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import numpy as np
+        from opquant import ELL1, Subspace, TailVector, build_biorthogonal
+        from opquant.cli import main
+
+        out = {str(tmp_path)!r}
+        codes = [main(["run", "--config", p, "--out", out + "/report.json"]) for p in {paths!r}]
+        codes.append(main(["verify", "--suite", "construction", "--epsilon", "0.1", "--c", "1.0", "--out", out + "/verify.json"]))
+        codes.append(main(["vectors", "--config", {paths[1]!r}, "--out", out + "/vectors.json"]))
+        rng = np.random.default_rng(0)
+        basis = tuple(TailVector(rng.standard_normal(5)) for _ in range(3))
+        build_biorthogonal(Subspace(basis, ELL1), 3, space=ELL1)
+        print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0, 0] []"
+
+
+def random_pencils(rng, count, n):
+    """A stack of symmetric a (semidefinite, some singular) and positive definite b."""
+    x = rng.standard_normal((count, n, n))
+    y = rng.standard_normal((count, n, n))
+    a = x[:, :, : max(1, n - 1)] @ x[:, :, : max(1, n - 1)].swapaxes(1, 2)
+    b = y @ y.swapaxes(1, 2) + 0.1 * np.eye(n)
+    return a, b
+
+
+class TestPencilEigs:
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_matches_scipy_eigh(self, seed, n):
+        a, b = random_pencils(np.random.default_rng(seed), 6, n)
+        stacked = _pencil_eigs(a, b)
+        for i in range(a.shape[0]):
+            expected = np.clip(scipy.linalg.eigh(a[i], b[i], eigvals_only=True), 0.0, None)
+            single = _pencil_eigs(a[i], b[i])
+            np.testing.assert_allclose(single, expected, rtol=0.0, atol=1e-12 * expected[-1])
+            # a stack is solved matrix by matrix, bit for bit
+            assert np.array_equal(stacked[i], single)
+
+    def test_diagonal_pencils(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5):
+            alpha = rng.uniform(0.0, 4.0, (3, n))
+            beta = rng.uniform(0.25, 4.0, (3, n))
+            eigs = _pencil_eigs(alpha[:, :, None] * np.eye(n), beta[:, :, None] * np.eye(n))
+            np.testing.assert_allclose(eigs, np.sort(alpha / beta, axis=1), rtol=1e-15, atol=0.0)
+
+    def test_ascending_and_clipped(self):
+        eigs = _pencil_eigs(np.diag([-1e-18, 3.0, 0.0]), np.diag([1.0, 4.0, 16.0]))
+        assert eigs.tolist() == [0.0, 0.0, 0.75]
+
+    def test_restricted_eigs_on_a_stack(self):
+        a, b = random_pencils(np.random.default_rng(6), 4, 3)
+        assert np.array_equal(_restricted_eigs(a, b), _pencil_eigs(a, b))
+        b[2] = np.outer([1.0, 2.0, 0.0], [1.0, 2.0, 0.0])
+        with pytest.raises(DegenerateBasis, match="restriction basis"):
+            _restricted_eigs(a, b)
+
+
+class TestRankRule:
+    def test_mixed_stack(self):
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+
+        def rotated(spectrum):
+            return q @ np.diag(spectrum) @ q.T
+
+        cases = [
+            (rotated([1.0, 2.0, 3.0]), True),
+            (rotated([0.0, 1.0, 1.0]), False),
+            (np.zeros((3, 3)), False),
+            (rotated([-1.0, -1.0, -1.0]), False),
+            (rotated([0.1 * GRAM_RANK_TOL, 1.0, 1.0]), False),
+            (rotated([10.0 * GRAM_RANK_TOL, 1.0, 1.0]), True),
+        ]
+        stack = np.array([g for g, _ in cases])
+        expected = [full for _, full in cases]
+        assert _full_rank(stack).tolist() == expected
+        assert [bool(_full_rank(g)) for g, _ in cases] == expected
+        # a stack passes the check only when every member does
+        _check_positive_definite(stack[[0, 5]], DegenerateBasis, "stack")
+        for bad in (1, 2, 3, 4):
+            with pytest.raises(DegenerateBasis, match="stack"):
+                _check_positive_definite(stack[[0, bad, 5]], DegenerateBasis, "stack")
+
+    def test_empty_matrix_fails(self):
+        with pytest.raises(DegenerateBasis):
+            _check_positive_definite(np.zeros((0, 0)), DegenerateBasis, "empty")
+
+
+def scipy_rule_null_space(rows):
+    """scipy.linalg.null_space's rank rule, on scipy's SVD."""
+    _, s, vh = scipy.linalg.svd(rows, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(rows.shape)
+    return vh[np.sum(s > tol, dtype=int) :, :].T
+
+
+class TestNullSpace:
+    def test_against_scipy_rule(self):
+        rng = np.random.default_rng(8)
+        for rows_count, cols in itertools.product((1, 2, 3, 5), (2, 4, 6)):
+            for rank in range(1, min(rows_count, cols) + 1):
+                rows = rng.standard_normal((rows_count, rank)) @ rng.standard_normal((rank, cols))
+                null, ref = _null_space(rows), scipy_rule_null_space(rows)
+                assert null.shape == ref.shape == (cols, cols - rank)
+                # the same subspace: equal projectors
+                np.testing.assert_allclose(null @ null.T, ref @ ref.T, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("space", [ELL1, ELLINF], ids=["p=1", "p=inf"])
+    def test_builds_against_scipy_rule(self, space, monkeypatch):
+        rng = np.random.default_rng(9)
+        for seed in range(20):
+            dim = int(rng.integers(2, 5))
+            basis = tuple(TailVector(rng.standard_normal(int(rng.integers(dim, dim + 4)))) for _ in range(dim))
+            M = Subspace(basis, space)
+            system = build_biorthogonal(M, dim, space=space, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(construction, "_null_space", scipy_rule_null_space)
+                reference = build_biorthogonal(M, dim, space=space, seed=seed)
+            for m, ref in zip(system.vectors, reference.vectors):
+                assert m.anchor == ref.anchor
+                np.testing.assert_allclose(m.prefix, ref.prefix, rtol=0.0, atol=1e-12 * np.max(np.abs(ref.prefix)))
+            for f, ref in zip(system.functionals, reference.functionals):
+                assert f.representer.equals(ref.representer)
+
+
+def recorded_approximation(monkeypatch, *args, **kwargs):
+    """run_invariance_case's report and the CoreApproximation it built."""
+    built = []
+    build = construction.build_core_approximants
+
+    def recording(*a, **k):
+        built.append(build(*a, **k))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(construction, "build_core_approximants", recording)
+        report = run_invariance_case(*args, **kwargs)
+    return report, built[0]
+
+
+def per_matrix_sub_bases(ca, part, threshold, coeffs_list):
+    """The sub-basis check one coefficient matrix at a time: (tested, triggered, worst)."""
+    supremum = part == "Delta"
+    extreme = -1 if supremum else 0
+    c = ca.c
+    tested = triggered = 0
+    worst = np.inf
+    for coeffs in coeffs_list:
+        try:
+            v_eigs = _sub_basis_eigs(ca.gram_tz, ca.gram_z, coeffs)
+            av_eigs = _sub_basis_eigs(ca.gram_tm, ca.system.gram_m, coeffs)
+        except DegenerateBasis:
+            continue
+        tested += 1
+        av_value, v_value = np.sqrt(av_eigs[extreme]), np.sqrt(v_eigs[extreme])
+        if (av_value > c) if supremum else (av_value < c):
+            triggered += 1
+            worst = min(worst, v_value - threshold if supremum else threshold - v_value)
+    return tested, triggered, worst if triggered else 0.0
+
+
+class TestStackedSubBases:
+    @pytest.mark.parametrize("part", ["Delta", "Nabla"])
+    def test_matches_per_matrix_loop(self, part, monkeypatch):
+        for ratio, T, epsilon in itertools.product((0.5, 0.99), (ALT12, SHIFT, FRP), (0.1, 0.01)):
+            M = odd_coordinate_witness(3, ratio)
+            report, ca = recorded_approximation(monkeypatch, T, part, M, epsilon, 0.05, seed=4, sub_basis_samples=60)
+            measured = report.measured
+            expected = per_matrix_sub_bases(ca, part, measured["threshold"], sub_basis_coefficients(3, 60, 4))
+            assert (measured["sub_bases_tested"], measured["sub_bases_triggered"], measured["worst_margin"]) == expected
+
+    def test_degenerate_sub_bases_are_skipped(self, monkeypatch):
+        # every third coefficient matrix repeats a column, so its span fails the rank rule on both sides
+        def with_degenerate(dim, samples, seed):
+            for i, coeffs in enumerate(sub_basis_coefficients(dim, samples, seed)):
+                yield np.concatenate([coeffs, coeffs[:, :1]], axis=1) if i % 3 == 0 else coeffs
+
+        monkeypatch.setattr(construction, "sub_basis_coefficients", with_degenerate)
+        M = odd_coordinate_witness(3, 0.5)
+        report, ca = recorded_approximation(monkeypatch, ALT12, "Delta", M, 0.1, 0.05, seed=1, sub_basis_samples=30)
+        total = 2**3 - 1 + 30
+        assert report.measured["sub_bases_tested"] == total - len(range(0, total, 3))
+        measured = report.measured
+        expected = per_matrix_sub_bases(ca, "Delta", measured["threshold"], with_degenerate(3, 30, 1))
+        assert (measured["sub_bases_tested"], measured["sub_bases_triggered"], measured["worst_margin"]) == expected
+
+
+class TestLemmaWindows:
+    def test_tail_bound_skips_only_failing_windows(self, monkeypatch):
+        """Without the discarded-tail bound, every window is built; the report is the same."""
+        windows = []
+        project = construction._window_kernel_projection
+
+        def counting(head, functionals):
+            windows.append(head.size)
+            return project(head, functionals)
+
+        monkeypatch.setattr(construction, "_window_kernel_projection", counting)
+        functionals = sample_lemma_functionals(np.random.default_rng(12), 3)
+        report = check_dense_intersection(functionals, samples=30, tol=1e-8, seed=3)
+        skipping = len(windows)
+        windows.clear()
+        monkeypatch.setattr(construction, "_remainder_norm", lambda v, J, space: 0.0)
+        assert check_dense_intersection(functionals, samples=30, tol=1e-8, seed=3) == report
+        assert skipping < len(windows)
+
+    def test_representer_gram_built_once(self, monkeypatch):
+        calls = []
+        representer_gram = construction._representer_gram
+
+        def counting(functionals, what):
+            calls.append(what)
+            return representer_gram(functionals, what)
+
+        monkeypatch.setattr(construction, "_representer_gram", counting)
+        monkeypatch.setattr(seqspace, "_representer_gram", counting)
+        functionals = sample_lemma_functionals(np.random.default_rng(13), 2)
+        check_dense_intersection(functionals, samples=20, tol=1e-8, seed=0)
+        assert calls == ["lemma functionals"]
+
+
+def test_dim_one_search_takes_one_window_svd(monkeypatch):
+    """Every restart of a dim-1 search shares the complement eye(N): its SVD runs once."""
+    A = window_action_matrix(FRP, 8)
+    full_svds = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if a.shape[-2:] == A.shape:
+            full_svds.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for obj_index, maximize in ((0, False), (0, True)):
+        full_svds.clear()
+        _alternating_search(A, 1, obj_index, maximize, 64, 3)
+        assert len(full_svds) == 1
