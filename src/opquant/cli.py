@@ -515,7 +515,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_quantities(args: argparse.Namespace) -> int:
     quantity = QUANTITY_LETTERS.get(args.quantity, args.quantity)
     data = {
-        "space": {"p": args.space},
+        "space": {"p": 2},
         "operator": _load_json(args.op, "operator"),
         "experiment": "quantities",
         "parameters": {
@@ -568,7 +568,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quantity", required=True, help="Gamma, Delta, Tau, Nabla or the letters G, D, T, N"
     )
     p_q.add_argument("--schedule", required=True, help="JSON list of [N, k, K] triples")
-    p_q.add_argument("--space", default=2, help="1, 2 or inf (default 2)")
     p_q.add_argument("--method", default="auto", choices=METHOD_CHOICES)
     p_q.add_argument("--restarts", type=int, default=64)
     p_q.add_argument("--seed", type=int)

@@ -31,7 +31,7 @@ from .errors import (
     OpquantError,
     ZeroVector,
 )
-from .operators import Operator, _restricted_eigs, apply, operator_norm, restricted_extremes
+from .operators import Operator, _pencil_eigs, _restricted_eigs, apply, operator_norm, restricted_extremes
 from .quantities import _SHAPES
 from .seqspace import (
     ELL2,
@@ -74,14 +74,12 @@ class BiorthogonalSystem:
     """Vectors m_n and functionals x'_n with x'_i m_n = 0 for i < n.
 
     Every m_n has unit norm; every x'_n has dual norm 1 and pairs to 1
-    with its own m_n.  source records the subspace the vectors were
-    drawn from (None for the ambient space).  gram_m is the l^2 Gram
-    matrix of the m_n, so ||sum a_i m_i||_2^2 = a^T gram_m a.
+    with its own m_n.  gram_m is the l^2 Gram matrix of the m_n, so
+    ||sum a_i m_i||_2^2 = a^T gram_m a.
     """
 
     vectors: tuple[TailVector, ...]
     functionals: tuple[LinearFunctional, ...]
-    source: Optional[Subspace]
     space: SpaceConfig
     gram_m: np.ndarray
 
@@ -209,7 +207,7 @@ def build_biorthogonal(
         m = scaled(w, 1.0 / nw)
         vectors.append(m)
         functionals.append(norming_functional(m, space))
-    system = BiorthogonalSystem(tuple(vectors), tuple(functionals), M, space, gram(vectors))
+    system = BiorthogonalSystem(tuple(vectors), tuple(functionals), space, gram(vectors))
     _validate_system(system)
     return system
 
@@ -288,15 +286,6 @@ class CoreApproximation:
         """Images A z_i = m_i."""
         return self.system.vectors
 
-    def combine(self, coeffs: Sequence[float]) -> tuple[TailVector, TailVector]:
-        """(z, Az) for z = sum coeffs[i] z_i, as exact tail vectors."""
-        n = len(coeffs)
-        if n > len(self.z):
-            raise ValueError(f"{n} coefficients for {len(self.z)} vectors")
-        z = linear_combine(coeffs, self.z[:n])
-        az = linear_combine(coeffs, self.targets[:n])
-        return z, az
-
 
 def _combination(ca: CoreApproximation, coeffs: Sequence[float]) -> np.ndarray:
     a = np.array(coeffs, dtype=np.float64)
@@ -312,31 +301,28 @@ def _image_gram(T: Operator, vectors: Sequence[TailVector]) -> np.ndarray:
 def _minimal_truncation_index(v: TailVector, target: float, space: SpaceConfig) -> int:
     """Smallest J with the exact discarded-tail norm of v at most target.
 
-    Past the anchor the discarded tail shrinks by |r|^P every period P,
-    so within each phase J = anchor + q + P m the first J under target
-    has a closed form; the minimum over phases is then settled against
-    the exact remainder norm, the one truncate(v, J) returns.
+    The tail past anchor + mP is exactly |r|^(mP) times the tail past the
+    anchor, so the first whole period under target has a closed form.
+    Against the exact remainder norm, the one truncate(v, J) returns, J
+    then steps up by whole periods while its tail is above target, and
+    back while the tail from the index before it also fits: at most
+    P - 1 steps, bar rounding in the closed form.
     """
     anchor, period = v.anchor, v.period
 
     def rest(J: int) -> float:
         return _remainder_norm(v, J, space)
 
-    def first_in_phase(J: int) -> int:
-        start = rest(J)
-        if start <= target:
-            return J
-        shrink = period * math.log(abs(v.tail_ratio))
-        return J + period * math.ceil((math.log(target) - math.log(start)) / shrink)
-
-    if rest(anchor) <= target:
+    start = rest(anchor)
+    if start <= target:
         return anchor
     if not target > 0.0:
         raise BudgetInfeasible(f"no truncation of {v!r} reaches {target}")
-    J = min(first_in_phase(anchor + q) for q in range(period))
+    shrink = period * math.log(abs(v.tail_ratio))
+    J = anchor + period * math.ceil((math.log(target) - math.log(start)) / shrink)
     while rest(J) > target:
-        J += 1
-    while J > anchor and rest(J - 1) <= target:
+        J += period
+    while rest(J - 1) <= target:
         J -= 1
     return J
 
@@ -349,15 +335,14 @@ def _window_kernel_projection(
     A finitely supported vector pairs with a functional only through the
     representer's leading coordinates, so Euclidean projection inside
     the window gives exact kernel membership.  Returns None when the
-    window Gram degenerates (caller should widen the window).
+    window Gram fails the rank rule (caller should widen the window).
     """
     if not functionals:
         return head
     J = head.size
     g = np.array([f.representer.coords(J) for f in functionals])
     gg = g @ g.T
-    eigs = np.linalg.eigvalsh(gg)
-    if eigs[-1] <= 0.0 or eigs[0] <= 1e-12 * eigs[-1]:
+    if not _full_rank(gg):
         return None
     alpha = np.linalg.solve(gg, g @ head)
     return head - g.T @ alpha
@@ -632,15 +617,6 @@ def _congruence(g: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return coeffs.swapaxes(-1, -2) @ g @ coeffs
 
 
-def _sub_basis_eigs(gram_t: np.ndarray, gram_v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """_restricted_eigs on the span of the combinations sum_i coeffs[..., i, j] v_i.
-
-    gram_v is the Gram matrix of the v_i and gram_t that of their images;
-    coeffs is one dim x r matrix or a stack of them.
-    """
-    return _restricted_eigs(_congruence(gram_t, coeffs), _congruence(gram_v, coeffs))
-
-
 def run_invariance_case(
     T: Operator,
     part: str,
@@ -702,11 +678,14 @@ def run_invariance_case(
     tested = triggered = 0
     worst = math.inf
     for stack in map(np.stack, stacks.values()):
-        # a sub-basis that fails the rank rule on either side is skipped
-        stack = stack[_full_rank(_congruence(ca.gram_z, stack)) & _full_rank(_congruence(ca.system.gram_m, stack))]
+        # each side's C^T G C once; a sub-basis that fails the rank rule on
+        # either side is skipped, and the rest go straight to the pencil
+        gram_v, gram_av = _congruence(ca.gram_z, stack), _congruence(ca.system.gram_m, stack)
+        keep = _full_rank(gram_v) & _full_rank(gram_av)
+        stack, gram_v, gram_av = stack[keep], gram_v[keep], gram_av[keep]
         tested += stack.shape[0]
-        v_values = np.sqrt(_sub_basis_eigs(ca.gram_tz, ca.gram_z, stack)[:, extreme])
-        av_values = np.sqrt(_sub_basis_eigs(ca.gram_tm, ca.system.gram_m, stack)[:, extreme])
+        v_values = np.sqrt(_pencil_eigs(_congruence(ca.gram_tz, stack), gram_v)[:, extreme])
+        av_values = np.sqrt(_pencil_eigs(_congruence(ca.gram_tm, stack), gram_av)[:, extreme])
         # the image side triggers past c on the optimum's side; the margin
         # is how far the preimage stays inside the threshold
         hit = av_values > c if shape.supremum else av_values < c

@@ -3,14 +3,14 @@
 Three variants: eventually periodic diagonals, weighted shifts, and a
 finite dense block added to a diagonal.  Diagonal and WeightedShift are
 two thin subclasses of one weight layout (a prefix, then one period
-repeated); a weighted shift is that diagonal followed by the unilateral
-shift.  A plain dense matrix acting on a window is a block added to the
-zero diagonal (DenseMatrix, serialised as kind "dense").  Applying any of
-them to a TailVector stays inside the tail-vector class exactly;
-operator norms come in closed form, and restricted norms from one
-generalized eigenvalue solve on Gram matrices.  window_action_matrix is
-the one window builder and one formula for every variant: the square
-compression is its top N rows.
+repeated); DenseMatrix (kind "dense") is a block on the zero diagonal.
+Every operator reads as one layout, (weights, shift, block): the weights
+on the diagonal, one row lower for a shift, plus the block on the
+leading coordinates.  apply (exact within the tail-vector class),
+operator_norm_bracket (closed form) and window_action_matrix (one
+formula; the square compression is its top N rows) all read it.
+Restricted norms come from one generalized eigenvalue solve on Gram
+matrices.
 """
 
 from __future__ import annotations
@@ -169,43 +169,46 @@ def _shift_up(u: TailVector) -> TailVector:
     return TailVector(prefix, u.tail_coeffs, u.tail_ratio)
 
 
+def _layout(T: Operator) -> tuple[_WeightLayout, int, np.ndarray]:
+    """(weights, shift, block): T is the weights on the diagonal, moved down
+    by shift rows (1 for WeightedShift, else 0), plus the block on 1..B."""
+    if isinstance(T, FiniteRankPlus):
+        return T.diagonal, 0, T.block
+    if isinstance(T, _WeightLayout):
+        return T, int(isinstance(T, WeightedShift)), np.zeros((0, 0))
+    raise TypeError(f"not an operator: {T!r}")
+
+
 def apply(T: Operator, v: TailVector) -> TailVector:
     """Exact image T v within the tail-vector class."""
-    if isinstance(T, Diagonal):
-        return _apply_diagonal(T, v)
-    if isinstance(T, WeightedShift):
-        return _shift_up(_apply_diagonal(T, v))
-    if isinstance(T, FiniteRankPlus):
-        diag = _apply_diagonal(T.diagonal, v)
-        image = np.trim_zeros(T.block @ v.coords(T.block_size), "b")
-        anchor = max(diag.anchor, image.size)
-        # adding into +0.0, as a linear combination does, turns -0.0 into 0.0
-        head = diag.coords(anchor) + 0.0
-        head[: image.size] += image
-        return TailVector(head, _realigned_tail(diag, anchor, diag.period) + 0.0, diag.tail_ratio)
-    raise TypeError(f"not an operator: {T!r}")
+    weights, shift, block = _layout(T)
+    # the image of all-zero weights is the zero vector, so it is not built
+    diag = _apply_diagonal(weights, v) if weights.prefix_values.any() or weights.periodic_values.any() else TailVector()
+    diag = _shift_up(diag) if shift else diag
+    if not block.size:
+        return diag
+    image = np.trim_zeros(block @ v.coords(block.shape[0]), "b")
+    anchor = max(diag.anchor, image.size)
+    # adding into +0.0, as a linear combination does, turns -0.0 into 0.0
+    head = diag.coords(anchor) + 0.0
+    head[: image.size] += image
+    return TailVector(head, _realigned_tail(diag, anchor, diag.period) + 0.0, diag.tail_ratio)
 
 
 def operator_norm_bracket(T: Operator, space: SpaceConfig = ELL2) -> tuple[float, float]:
     """The l^p operator norm as a collapsed [lower, upper] bracket.
 
-    Every variant is exact.  FiniteRankPlus is the direct sum of
-    block + diag(d_1..d_B) on coordinates 1..B and the diagonal beyond B,
-    so its norm is the larger of the two parts' norms.
+    Every variant is exact.  A shift moves the weights without changing
+    their sizes, and with a block on 1..B the operator is the direct sum
+    of block + diag(d_1..d_B) on coordinates 1..B and the diagonal beyond
+    B, so its norm is the larger of the two parts' norms.
     """
-    if isinstance(T, _WeightLayout):
-        sup = float(np.max(np.abs(T.periodic_values)))
-        if T.prefix_values.size:
-            sup = max(sup, float(np.max(np.abs(T.prefix_values))))
-        return sup, sup
-    if isinstance(T, FiniteRankPlus):
-        B = T.block_size
-        d = T.diagonal
-        beyond = np.concatenate([d.prefix_values[B:], d.periodic_values])
-        block = T.block + np.diag(d.entries(B))
-        value = max(float(np.linalg.norm(block, space.p)), float(np.max(np.abs(beyond))))
-        return value, value
-    raise TypeError(f"not an operator: {T!r}")
+    weights, _, block = _layout(T)
+    B = block.shape[0]
+    value = float(np.max(np.abs(np.concatenate([weights.prefix_values[B:], weights.periodic_values]))))
+    if B:
+        value = max(float(np.linalg.norm(block + np.diag(weights.entries(B)), space.p)), value)
+    return value, value
 
 
 def operator_norm(T: Operator, space: SpaceConfig = ELL2) -> float:
@@ -275,19 +278,13 @@ def window_action_matrix(T: Operator, N: int) -> np.ndarray:
     Column j holds the full image T e_j, so Gram computations on this
     matrix agree exactly with apply() on finitely supported vectors,
     unlike the square compression which drops coordinates past N.  Every
-    variant is one formula: the weights on the diagonal offset by the
-    shift (1 for WeightedShift, else 0), plus the block columns of a
-    FiniteRankPlus.  A matrix above MAX_WINDOW_ENTRIES raises
-    BadDimensions before any allocation.
+    variant is one formula on its layout: the weights on the diagonal
+    offset by the shift, plus the block columns.  A matrix above
+    MAX_WINDOW_ENTRIES raises BadDimensions before any allocation.
     """
     if N < 1:
         raise BadDimensions(f"window size must be >= 1, got {N}")
-    if isinstance(T, FiniteRankPlus):
-        weights, shift, block = T.diagonal, 0, T.block
-    elif isinstance(T, _WeightLayout):
-        weights, shift, block = T, int(isinstance(T, WeightedShift)), np.zeros((0, 0))
-    else:
-        raise TypeError(f"not an operator: {T!r}")
+    weights, shift, block = _layout(T)
     B = block.shape[0]
     rows = max(N + shift, B)
     if rows * N > MAX_WINDOW_ENTRIES:

@@ -618,6 +618,24 @@ class TestCommandLine:
         assert report["results"][0]["quantity"] == "Tau"
         assert report["results"][0]["value"] == 2.0
 
+    def test_quantities_has_no_space_flag(self, tmp_path):
+        """Every experiment runs on p = 2, so quantities builds that config and takes no --space."""
+        op, schedule = '{"kind":"diagonal","periodic":[2.0,1.0]}', "[[8,2,2],[12,3,3]]"
+        refused = cli("quantities", "--op", op, "--quantity", "T", "--schedule", schedule, "--space", "2")
+        assert refused.returncode == 2
+        assert refused.stdout == ""
+        assert refused.stderr.endswith("error: unrecognized arguments: --space 2\n")
+        path = tmp_path / "quantities.json"
+        path.write_text(json.dumps({
+            "space": {"p": 2},
+            "operator": json.loads(op),
+            "experiment": "quantities",
+            "parameters": {"quantity": "Tau", "schedule": json.loads(schedule), "method": "auto", "restarts": 64},
+        }))
+        readme = cli("quantities", "--op", op, "--quantity", "T", "--schedule", schedule)
+        assert readme.returncode == 0
+        assert readme.stdout == cli("run", "--config", str(path)).stdout
+
     def test_verify_construction(self):
         result = cli(
             "verify", "--suite", "construction",

@@ -47,8 +47,9 @@ from opquant import (
     verify_transfer_bounds,
 )
 from opquant import construction
-from opquant.construction import MAX_WINDOW, _minimal_truncation_index, _sub_basis_eigs
+from opquant.construction import MAX_WINDOW, _congruence, _minimal_truncation_index
 from opquant.errors import DegenerateBasis, DegenerateFunctionals
+from opquant.operators import _restricted_eigs
 from opquant.sampling import (
     odd_coordinate_witness,
     sample_lemma_functionals,
@@ -289,6 +290,35 @@ def tail_ca():
     return build_core_approximants(system, ALT12, 0.1, 1.0)
 
 
+def scanned_truncation_index(v, target, space):
+    """The smallest J by trying every index from the anchor up."""
+    J = v.anchor
+    while construction._remainder_norm(v, J, space) > target:
+        J += 1
+    return J
+
+
+class TestTruncationIndexScan:
+    """The whole-period closed form against a scan of every J."""
+
+    @staticmethod
+    def assert_matches_scan(v):
+        for target, space in itertools.product((0.3, 1e-2, 1e-4, 1e-7, 1e-10), (ELL1, ELL2, ELLINF)):
+            assert _minimal_truncation_index(v, target, space) == scanned_truncation_index(v, target, space)
+
+    @pytest.mark.parametrize("ratio", (0.5, -0.8, 0.9, 0.97))
+    def test_plateau_tails(self, ratio):
+        # period 2 with a vanishing coefficient: every other index leaves the tail unchanged
+        for v in odd_coordinate_witness(3, ratio, 0.5).basis:
+            self.assert_matches_scan(v)
+
+    @pytest.mark.parametrize("ratio", (0.5, -0.7, 0.9, 0.97))
+    def test_period_three_tails(self, ratio):
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            self.assert_matches_scan(TailVector(rng.standard_normal(int(rng.integers(0, 5))), rng.uniform(-2.0, 2.0, 3), ratio))
+
+
 class TestNearIsometry:
     def test_zero_gap_for_finite_system(self):
         system = build_biorthogonal(None, 3)
@@ -369,8 +399,8 @@ class TestTransferBounds:
                 AV = Subspace(tuple(linear_combine(coeffs[:, j], ca.targets) for j in range(coeffs.shape[1])))
                 # the Gram-first extremes of run_invariance_case against the tail-vector spans
                 for span, eigs in (
-                    (V, _sub_basis_eigs(ca.gram_tz, ca.gram_z, coeffs)),
-                    (AV, _sub_basis_eigs(ca.gram_tm, system.gram_m, coeffs)),
+                    (V, _restricted_eigs(_congruence(ca.gram_tz, coeffs), _congruence(ca.gram_z, coeffs))),
+                    (AV, _restricted_eigs(_congruence(ca.gram_tm, coeffs), _congruence(system.gram_m, coeffs))),
                 ):
                     top = restricted_norm(T, span)
                     assert math.sqrt(eigs[-1]) == pytest.approx(top, rel=1e-12)
@@ -384,7 +414,7 @@ class TestTransferBounds:
     def test_degenerate_sub_basis_rejected(self, tail_ca):
         coeffs = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(DegenerateBasis):
-            _sub_basis_eigs(tail_ca.gram_tz, tail_ca.gram_z, coeffs)
+            _restricted_eigs(_congruence(tail_ca.gram_tz, coeffs), _congruence(tail_ca.gram_z, coeffs))
 
 
 OPERATORS = {
@@ -459,7 +489,7 @@ class TestCertificates:
             ("transfer", top(ca.gram_tdefects, g), lambda z, az: norm(apply(T, defect(z, az)))),
         ]
         for name, a, numerator in extremes:
-            z, az = ca.combine(a)
+            z, az = linear_combine(a, ca.z), linear_combine(a, ca.targets)
             assert numerator(z, az) / norm(az) == pytest.approx(certified[name], rel=1e-9), name
 
 
@@ -473,7 +503,7 @@ def assert_same(value, expected):
 
 def reference_checks(ca, T, coeffs):
     """The measured norms of the three checks from exact tail-vector combinations."""
-    z, az = ca.combine(coeffs)
+    z, az = linear_combine(coeffs, ca.z[: len(coeffs)]), linear_combine(coeffs, ca.targets[: len(coeffs)])
     return {
         "gap": norm(linear_combine([1.0, -1.0], [z, az])),
         "z_norm": norm(z),
@@ -485,7 +515,7 @@ def reference_checks(ca, T, coeffs):
 
 
 class TestGramKernel:
-    """The quadratic-form checks against combine + norm + apply."""
+    """The quadratic-form checks against linear_combine + norm + apply."""
 
     def cases(self):
         rng = np.random.default_rng(46)

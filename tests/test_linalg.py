@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from opquant import ELL1, ELLINF, DegenerateBasis, Diagonal, FiniteRankPlus, Subspace, TailVector, WeightedShift
 from opquant import construction, seqspace
 from opquant.construction import (
+    _congruence,
     _null_space,
-    _sub_basis_eigs,
     build_biorthogonal,
     check_dense_intersection,
     run_invariance_case,
@@ -29,7 +29,7 @@ from opquant.construction import (
 from opquant.operators import _pencil_eigs, _restricted_eigs, window_action_matrix
 from opquant.quantities import _alternating_search
 from opquant.sampling import odd_coordinate_witness, sample_lemma_functionals
-from opquant.seqspace import GRAM_RANK_TOL, _check_positive_definite, _full_rank
+from opquant.seqspace import GRAM_RANK_TOL, LinearFunctional, _check_positive_definite, _full_rank, norm, unit_vector
 
 ALT12 = Diagonal(periodic_values=(1.0, 2.0))
 SHIFT = WeightedShift(prefix_values=(0.7, 1.3), periodic_values=(1.0, 0.5))
@@ -145,6 +145,22 @@ class TestRankRule:
         with pytest.raises(DegenerateBasis):
             _check_positive_definite(np.zeros((0, 0)), DegenerateBasis, "empty")
 
+    def test_window_in_the_gap_widens(self):
+        """A window Gram whose eigenvalue ratio lies in (1e-12, 1e-10] fails the rank rule: J doubles."""
+        eta = 2.0 * 10**-5.5  # the window Gram [[1, 1], [1, 1 + eta^2]] has ratio about eta^2 / 4 = 1e-11
+        first = TailVector((1.0,))
+        # the two representers part ways only at coordinate 5, past the first window
+        second = TailVector((1.0, eta, 0.0, 0.0, 1.0))
+        functionals = [LinearFunctional(r, norm(r)) for r in (first, second)]
+        g = np.array([r.coords(4) for r in (first, second)])
+        eigs = np.linalg.eigvalsh(g @ g.T)
+        assert 1e-12 < eigs[0] / eigs[-1] <= GRAM_RANK_TOL
+        assert construction._window_kernel_projection(unit_vector(3).coords(4), functionals) is None
+        # e_3 lies in both kernels; the window of 8 holds the fifth coordinate and solves exactly
+        z, defect, gap, J = construction._core_member(unit_vector(3), functionals, 4, 1e-8, "gap window")
+        assert (J, gap) == (8, 0.0)
+        assert z.equals(unit_vector(3))
+
 
 def scipy_rule_null_space(rows):
     """scipy.linalg.null_space's rank rule, on scipy's SVD."""
@@ -206,8 +222,8 @@ def per_matrix_sub_bases(ca, part, threshold, coeffs_list):
     worst = np.inf
     for coeffs in coeffs_list:
         try:
-            v_eigs = _sub_basis_eigs(ca.gram_tz, ca.gram_z, coeffs)
-            av_eigs = _sub_basis_eigs(ca.gram_tm, ca.system.gram_m, coeffs)
+            v_eigs = _restricted_eigs(_congruence(ca.gram_tz, coeffs), _congruence(ca.gram_z, coeffs))
+            av_eigs = _restricted_eigs(_congruence(ca.gram_tm, coeffs), _congruence(ca.system.gram_m, coeffs))
         except DegenerateBasis:
             continue
         tested += 1
@@ -242,6 +258,21 @@ class TestStackedSubBases:
         measured = report.measured
         expected = per_matrix_sub_bases(ca, "Delta", measured["threshold"], with_degenerate(3, 30, 1))
         assert (measured["sub_bases_tested"], measured["sub_bases_triggered"], measured["worst_margin"]) == expected
+
+    @pytest.mark.parametrize("part", ["Delta", "Nabla"])
+    def test_four_eigvalsh_calls_per_rank(self, part, monkeypatch):
+        """Each side's congruence is ranked once and solved once: 4 stacked eigvalsh per rank."""
+        ranks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            if a.ndim == 3:
+                ranks.append(a.shape[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        run_invariance_case(FRP, part, odd_coordinate_witness(3, 0.9), 0.1, 0.05, seed=2, sub_basis_samples=20)
+        assert sorted(ranks) == [1] * 4 + [2] * 4 + [3] * 4
 
 
 class TestLemmaWindows:

@@ -393,3 +393,116 @@ class TestSerialization:
             Diagonal((1.0,), ())
         with pytest.raises(BadDimensions, match="block must be square"):
             DenseMatrix(np.zeros((2, 3)))
+
+
+def per_class_apply(T, v):
+    """apply as each class wrote it before the operators shared one layout."""
+    if isinstance(T, Diagonal):
+        return operators._apply_diagonal(T, v)
+    if isinstance(T, WeightedShift):
+        return operators._shift_up(operators._apply_diagonal(T, v))
+    diag = operators._apply_diagonal(T.diagonal, v)
+    image = np.trim_zeros(T.block @ v.coords(T.block_size), "b")
+    anchor = max(diag.anchor, image.size)
+    head = diag.coords(anchor) + 0.0
+    head[: image.size] += image
+    return TailVector(head, operators._realigned_tail(diag, anchor, diag.period) + 0.0, diag.tail_ratio)
+
+
+def per_class_norm(T, space):
+    """operator_norm_bracket as each class wrote it before the shared layout."""
+    if isinstance(T, FiniteRankPlus):
+        B = T.block_size
+        d = T.diagonal
+        beyond = np.concatenate([d.prefix_values[B:], d.periodic_values])
+        block = T.block + np.diag(d.entries(B))
+        value = max(float(np.linalg.norm(block, space.p)), float(np.max(np.abs(beyond))))
+        return value, value
+    sup = float(np.max(np.abs(T.periodic_values)))
+    if T.prefix_values.size:
+        sup = max(sup, float(np.max(np.abs(T.prefix_values))))
+    return sup, sup
+
+
+def per_class_window(T, N):
+    """window_action_matrix with its own dispatch on the class."""
+    if isinstance(T, FiniteRankPlus):
+        weights, shift, block = T.diagonal, 0, T.block
+    else:
+        weights, shift, block = T, int(isinstance(T, WeightedShift)), np.zeros((0, 0))
+    B = block.shape[0]
+    m = np.zeros((max(N + shift, B), N))
+    m[np.arange(shift, N + shift), np.arange(N)] = weights.entries(N)
+    m[:B, :B] += block[:, :N]
+    return m
+
+
+def vector_bits(v):
+    return v.prefix.tobytes(), v.tail_coeffs.tobytes(), np.float64(v.tail_ratio).tobytes()
+
+
+class TestOneLayout:
+    """apply, the norms and the window builder read one (weights, shift, block) layout."""
+
+    @staticmethod
+    def draw(rng, n):
+        values = rng.standard_normal(n)
+        picks = rng.random(n) < 0.3
+        values[picks] = rng.choice([0.0, -0.0, 1.0, -1.0, -0.5], int(np.count_nonzero(picks)))
+        return values
+
+    def weights(self, rng):
+        if rng.random() < 0.25:  # all-zero weights, signed zeros included
+            return (), rng.choice([0.0, -0.0], int(rng.integers(1, 4)))
+        return self.draw(rng, int(rng.integers(0, 4))), self.draw(rng, int(rng.integers(1, 4)))
+
+    def operator(self, rng, kind):
+        if kind == "diagonal":
+            return Diagonal(*self.weights(rng))
+        if kind == "shift":
+            return WeightedShift(*self.weights(rng))
+        b = int(rng.integers(1, 6))
+        block = self.draw(rng, b * b).reshape(b, b)
+        if kind == "dense":
+            return DenseMatrix(block)
+        if kind == "zero_diagonal":
+            return FiniteRankPlus(block, Diagonal())
+        return FiniteRankPlus(block, Diagonal(*self.weights(rng)))
+
+    def vector(self, rng):
+        prefix = self.draw(rng, int(rng.integers(0, 6)))
+        if rng.random() < 0.3:
+            return TailVector(prefix)
+        return TailVector(prefix, self.draw(rng, int(rng.integers(1, 4))), float(rng.uniform(-0.95, 0.95)))
+
+    @pytest.mark.parametrize("seed, kind", enumerate(["diagonal", "shift", "finite_rank_plus", "zero_diagonal", "dense"]))
+    def test_bit_identical_to_per_class_code(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(400):
+            T = self.operator(rng, kind)
+            v = self.vector(rng)
+            assert vector_bits(apply(T, v)) == vector_bits(per_class_apply(T, v))
+            for space in (ELL1, ELL2, ELLINF):
+                got = np.array(operator_norm_bracket(T, space))
+                assert got.tobytes() == np.array(per_class_norm(T, space)).tobytes()
+            N = int(rng.integers(1, 9))
+            window = window_action_matrix(T, N)
+            expected = per_class_window(T, N)
+            assert window.shape == expected.shape and window.tobytes() == expected.tobytes()
+
+    def test_dense_apply_skips_the_zero_diagonal(self, monkeypatch):
+        calls = []
+        apply_diagonal = operators._apply_diagonal
+
+        def counting(T, v):
+            calls.append(T)
+            return apply_diagonal(T, v)
+
+        monkeypatch.setattr(operators, "_apply_diagonal", counting)
+        v = TailVector((0.3, -1.0, 0.5), (1.0, -0.5), 0.9)
+        block = [[1.0, 0.2, -0.4], [0.3, -0.5, 0.1], [0.0, 0.6, 0.2]]
+        for T in (DenseMatrix(block), FiniteRankPlus(block, Diagonal()), Diagonal(periodic_values=(-0.0,))):
+            apply(T, v)
+        assert calls == []
+        apply(FiniteRankPlus(block, ALT), v)
+        assert calls == [ALT]
