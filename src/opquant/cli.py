@@ -29,8 +29,8 @@ from .construction import (
     run_invariance_case,
 )
 from .errors import ConfigError, OpquantError
-from .operators import Diagonal, Operator, operator_from_dict, window_action_matrix
-from .quantities import METHODS, QUANTITIES, _descending_index, limit_estimate, svd_oracle
+from .operators import Diagonal, Operator, operator_from_dict, window_singular_values
+from .quantities import METHODS, QUANTITIES, _descending_index, limit_estimate
 from .sampling import odd_coordinate_witness, sample_lemma_functionals, sample_witness_subspace
 from .seqspace import SpaceConfig, Subspace, TailVector, _p_tag, norm, space_from_tag
 
@@ -160,12 +160,14 @@ def _parse_schedule(raw) -> list:
     return schedule
 
 
+def _finite_number(value) -> bool:
+    """An int or a finite float; json.loads reads NaN and 1e400 as non-finite floats."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < math.inf
+
+
 def _check_number(params: dict, key: str, predicate, message: str) -> None:
-    if key not in params:
-        return
-    value = params[key]
-    valid = isinstance(value, (int, float)) and not isinstance(value, bool) and predicate(value)
-    _require(valid, message)
+    if key in params:
+        _require(_finite_number(params[key]) and predicate(params[key]), message)
 
 
 def _check_count(params: dict, key: str, minimum: int) -> None:
@@ -207,7 +209,7 @@ def _parse_parameters(raw, experiment: str) -> dict:
     params = dict(raw)
     _check_number(params, "epsilon", lambda v: 0.0 < v < 1.0, "parameters.epsilon: must lie in (0,1)")
     for key in _POSITIVE:
-        _check_number(params, key, lambda v: v > 0.0, f"parameters.{key}: must be positive")
+        _check_number(params, key, lambda v: v > 0.0, f"parameters.{key}: must be positive and finite")
     for key, minimum in _COUNTS.items():
         _check_count(params, key, minimum)
     for key, choices in _CHOICES.items():
@@ -219,10 +221,8 @@ def _parse_parameters(raw, experiment: str) -> dict:
         raise ConfigError("parameters.schedule: required for quantities")
     if "expected" in params:
         exp = params["expected"]
-        ok = isinstance(exp, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in exp
-        )
-        _require(ok, "parameters.expected: must be a list of numbers")
+        ok = isinstance(exp, list) and all(map(_finite_number, exp))
+        _require(ok, "parameters.expected: must be a list of finite numbers")
         _require(
             len(exp) == len(params.get("schedule", ())),
             "parameters.expected: length must match schedule",
@@ -439,7 +439,7 @@ def emit_test_vectors(
     T = config.build_operator() if config.operator is not None else Diagonal(periodic_values=(1.0,))
     schedule = params.get("schedule") or [[4, 1, 2]]
     windows = sorted({entry[0] for entry in schedule})
-    values = {N: [float(s) for s in svd_oracle(window_action_matrix(T, N))] for N in windows}
+    values = {N: window_singular_values(T, N).tolist() for N in windows}
     singular_values = [{"N": N, "values": values[N]} for N in windows]
     # each window value is one order statistic of the window's singular values
     quantity_rows = [

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -109,6 +109,11 @@ def _ambient_pool(count: int):
     return [unit_vector(j) for j in range(1, count + 1)]
 
 
+def _survives(w: TailVector, b: TailVector, space: SpaceConfig = ELL2) -> bool:
+    """Whether w, what a step left of b, keeps over DEGENERATE_PROJECTION of b's norm."""
+    return norm(w, space) > DEGENERATE_PROJECTION * norm(b, space)
+
+
 def _next_ell2_vector(
     candidates: list[TailVector],
     functionals: Sequence[LinearFunctional],
@@ -118,53 +123,27 @@ def _next_ell2_vector(
     """First candidate whose kernel projection survives, else seeded mixes."""
     for idx, candidate in enumerate(candidates):
         w = project_into_kernels(candidate, functionals) if functionals else candidate
-        if norm(w) >= DEGENERATE_PROJECTION:
+        if _survives(w, candidate):
             candidates.pop(idx)
             return w
     for _ in range(100):
-        coeffs = rng.standard_normal(len(mix_pool))
-        w = linear_combine(coeffs, mix_pool)
-        if functionals:
-            w = project_into_kernels(w, functionals)
-        if norm(w) >= DEGENERATE_PROJECTION:
+        mix = linear_combine(rng.standard_normal(len(mix_pool)), mix_pool)
+        w = project_into_kernels(mix, functionals) if functionals else mix
+        if _survives(w, mix):
             return w
     raise ExhaustedSubspace("no nonzero kernel-intersection vector found in the window")
 
 
-def _null_space(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the null space of rows.
+def _kernel_step(b: TailVector, pairs: Iterable[tuple[TailVector, LinearFunctional]]) -> TailVector:
+    """The paper's step: w = b, then w -= x'_j(w) m_j for each earlier pair in order.
 
-    The numerical rank counts the singular values above eps * max(shape)
-    times the largest.
+    Since x'_i m_j = 0 for i < j, each subtraction zeroes its own pairing
+    and keeps the earlier ones at 0; w stays in span{b, m_j}.
     """
-    _, s, vh = np.linalg.svd(rows, full_matrices=True)
-    rank = np.count_nonzero(s > np.max(s, initial=0.0) * np.finfo(np.float64).eps * max(rows.shape))
-    return vh[rank:].T
-
-
-def _next_sign_dual_vector(
-    basis: Sequence[TailVector],
-    used: int,
-    functionals: Sequence[LinearFunctional],
-) -> TailVector:
-    """Kernel-intersection member as a combination of finite basis vectors.
-
-    Sign-pattern functionals make the constraints a small linear system
-    on the coefficients; the null space supplies the next vector.
-    """
-    k = len(basis)
-    if not functionals:
-        return basis[used]
-    null = _null_space(np.array([[pairing(f, b) for b in basis] for f in functionals]))
-    if null.shape[1] == 0:
-        raise ExhaustedSubspace("kernel intersection is trivial in the window")
-    # prefer the null direction closest to the next unused basis vector
-    target = np.zeros(k)
-    target[min(used, k - 1)] = 1.0
-    coeffs = null @ (null.T @ target)
-    if np.linalg.norm(coeffs) < DEGENERATE_PROJECTION:
-        coeffs = null[:, 0]
-    return linear_combine(coeffs, basis)
+    w = b
+    for m, f in pairs:
+        w = linear_combine([1.0, -pairing(f, w)], [w, m])
+    return w
 
 
 def build_biorthogonal(
@@ -177,9 +156,10 @@ def build_biorthogonal(
 
     M = None draws from the ambient coordinate basis.  For p = 2 each
     new vector is the kernel projection of the next unused basis vector
-    (seeded random mixes as fallback); for p in {1, inf} the basis must
-    be finitely supported and the kernel constraints are solved in
-    coefficient space.
+    (seeded random mixes as fallback); for p in {1, inf} it is the kernel
+    step on b_n, so m_n lies in span{b_1..b_n}, and the basis must be
+    finitely supported.  A step that keeps at most DEGENERATE_PROJECTION
+    of its start's norm counts as degenerate.
     """
     if count < 1:
         raise ExhaustedSubspace("count must be at least 1")
@@ -200,11 +180,10 @@ def build_biorthogonal(
         if space.p == 2:
             w = _next_ell2_vector(candidates, functionals, rng, basis)
         else:
-            w = _next_sign_dual_vector(basis, n - 1, functionals)
-        nw = norm(w, space)
-        if nw < DEGENERATE_PROJECTION:
-            raise ExhaustedSubspace("kernel intersection vector degenerated")
-        m = scaled(w, 1.0 / nw)
+            w = _kernel_step(basis[n - 1], zip(vectors, functionals))
+            if not _survives(w, basis[n - 1], space):
+                raise ExhaustedSubspace("kernel intersection vector degenerated")
+        m = scaled(w, 1.0 / norm(w, space))
         vectors.append(m)
         functionals.append(norming_functional(m, space))
     system = BiorthogonalSystem(tuple(vectors), tuple(functionals), space, gram(vectors))

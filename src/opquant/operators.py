@@ -7,8 +7,10 @@ repeated); DenseMatrix (kind "dense") is a block on the zero diagonal.
 Every operator reads as one layout, (weights, shift, block): the weights
 on the diagonal, one row lower for a shift, plus the block on the
 leading coordinates.  apply (exact within the tail-vector class),
-operator_norm_bracket (closed form) and window_action_matrix (one
-formula; the square compression is its top N rows) all read it.
+operator_norm_bracket (closed form), window_action_matrix (one
+formula; the square compression is its top N rows) and
+window_singular_values (that window's spectrum, one SVD of the block
+columns and the moduli of the later weights) all read it.
 Restricted norms come from one generalized eigenvalue solve on Gram
 matrices.
 """
@@ -46,6 +48,8 @@ class _WeightLayout:
         periodic = _as_readonly_array(self.periodic_values)
         if periodic.size == 0:
             raise BadDimensions(f"{type(self).__name__} needs a nonempty periodic part")
+        if not (np.all(np.isfinite(self.prefix_values)) and np.all(np.isfinite(periodic))):
+            raise BadDimensions(f"{type(self).__name__} weights must be finite")
         object.__setattr__(self, "periodic_values", periodic)
 
     def entries(self, n: int) -> np.ndarray:
@@ -268,7 +272,8 @@ def restricted_extremes(T: Operator, M: Subspace) -> tuple[float, float]:
 
 
 # Largest window matrix built, in float64 entries (128 MiB); the search
-# bounds its stacked frames by the same figure.
+# bounds its stacked frames by the same figure, and a window spectrum
+# holds at most this many singular values.
 MAX_WINDOW_ENTRIES = 2**24
 
 
@@ -301,3 +306,23 @@ def window_action_matrix(T: Operator, N: int) -> np.ndarray:
 def truncate_operator(T: Operator, N: int) -> DenseMatrix:
     """The N x N compression with entries <T e_j, e_i> for i, j <= N."""
     return DenseMatrix(window_action_matrix(T, N)[:N])
+
+
+def window_singular_values(T: Operator, N: int) -> np.ndarray:
+    """Singular values of window_action_matrix(T, N), descending, in closed form.
+
+    A column past the block holds one weight in a row of its own, so it
+    adds that weight's modulus; the block's columns (the block plus the
+    leading weights, at most B x B) take one SVD.  N above
+    MAX_WINDOW_ENTRIES raises BadDimensions before any allocation.
+    """
+    if N < 1:
+        raise BadDimensions(f"window size must be >= 1, got {N}")
+    if N > MAX_WINDOW_ENTRIES:
+        raise BadDimensions(f"window N={N} is above the cap of {MAX_WINDOW_ENTRIES} singular values")
+    weights, _, block = _layout(T)
+    B = min(block.shape[0], N)
+    moduli = np.abs(weights.entries(N)[B:])
+    if B:
+        moduli = np.concatenate([np.linalg.svd(window_action_matrix(T, B), compute_uv=False), moduli])
+    return np.sort(moduli)[::-1]

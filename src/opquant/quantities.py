@@ -11,10 +11,11 @@ K-dimensional (outer) subspaces of span{e_1..e_N}:
 
 By Courant-Fischer each value is one order statistic, counted from the
 largest: Gamma_k the (N-k+1)-th, Tau_k the k-th, Delta_kK the (K-k+1)-th
-and Nabla_kK the (N-K+k)-th.  Three methods are available: that order
-statistic of the singular values of the window action matrix (exact for
-the window, spill rows included), of the moduli of a diagonal operator
-(exact, with a coordinate witness), and a seeded Grassmannian search
+and Nabla_kK the (N-K+k)-th, of the window's singular values (spill rows
+included).  The two exact methods read it from the closed-form spectrum
+operators.window_singular_values: svd_oracle for any operator and
+subset_oracle for a diagonal, whose coordinate witness
+coordinate_subset_value gives.  A seeded Grassmannian search bounds it
 for general operators (one-sided bound with certified bracket).
 """
 
@@ -33,6 +34,7 @@ from .operators import (
     Operator,
     operator_norm,
     window_action_matrix,
+    window_singular_values,
 )
 from .seqspace import ELL2, Subspace, TailVector
 
@@ -91,10 +93,11 @@ class QuantityEstimate:
 
 
 def svd_oracle(A: DenseMatrix | np.ndarray) -> np.ndarray:
-    """Singular values of a window matrix, descending.
+    """Singular values of a matrix by a dense SVD, descending.
 
-    The window quantities take them of window_action_matrix(T, N), whose
-    rows include the coordinates past N that T e_j reaches; a DenseMatrix
+    On window_action_matrix(T, N), whose rows include the coordinates past
+    N that T e_j reaches, it is the dense reference for
+    window_singular_values(T, N), which the estimates read; a DenseMatrix
     is read through its entries.
     """
     return np.linalg.svd(A.matrix if isinstance(A, DenseMatrix) else A, compute_uv=False)
@@ -103,12 +106,6 @@ def svd_oracle(A: DenseMatrix | np.ndarray) -> np.ndarray:
 def _check_dims(N: int, k: int, K: int) -> None:
     if not (1 <= k <= K <= N):
         raise BadDimensions(f"need 1 <= k <= K <= N, got k={k}, K={K}, N={N}")
-
-
-def _diagonal_moduli(T: Operator, N: int) -> np.ndarray:
-    if not isinstance(T, Diagonal):
-        raise BadDimensions("subset_oracle needs a diagonal operator")
-    return np.abs(T.entries(N))
 
 
 def _shape(quantity: str) -> _Shape:
@@ -266,10 +263,6 @@ def _resolve_method(T: Operator, method: str) -> str:
     return method
 
 
-def _svd_value(T: Operator, N: int, index: int) -> float:
-    return float(svd_oracle(window_action_matrix(T, N))[index])
-
-
 def _estimate(
     quantity: str,
     T: Operator,
@@ -282,17 +275,16 @@ def _estimate(
 ) -> QuantityEstimate:
     _check_dims(N, k, K)
     resolved = _resolve_method(T, method)
-    if resolved == "svd_oracle":
-        value = _svd_value(T, N, _descending_index(quantity, N, k, K))
-        bracket = (value, value)
-    elif resolved == "subset_oracle":
-        value, _ = coordinate_subset_value(_diagonal_moduli(T, N), quantity, k, K)
-        bracket = (value, value)
-    else:
+    if resolved == "subset_oracle" and not isinstance(T, Diagonal):
+        raise BadDimensions("subset_oracle needs a diagonal operator")
+    if resolved == "grassmann_search":
         dim, index, supremum = _search_args(quantity, k, K)
         value, _ = _alternating_search(window_action_matrix(T, N), dim, index, supremum, restarts, seed)
         # an attained value bounds a supremum from below, an infimum from above
         bracket = (value, max(value, operator_norm(T))) if supremum else (0.0, value)
+    else:
+        value = float(window_singular_values(T, N)[_descending_index(quantity, N, k, K)])
+        bracket = (value, value)
     return QuantityEstimate(quantity, value, k, K, N, resolved, bracket, seed)
 
 

@@ -134,6 +134,11 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=fragment):
                 parse(data)
 
+    def test_non_finite_expected_rejected(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=r"^parameters\.expected: must be a list of finite numbers$"):
+                parse(with_params(MINIMAL, expected=[1.0, value]))
+
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")
@@ -534,16 +539,50 @@ class TestCommandLine:
         assert result.stderr.startswith("error: step 1 needs a window of")
 
     def test_quantities_exit_two_on_window_cap(self):
-        # the window matrix would hold 100001 x 100000 float64 entries (74.5 GiB)
-        result = cli(
-            "quantities",
-            "--op", '{"kind": "shift", "periodic": [1.0, 0.5]}',
-            "--quantity", "G",
-            "--schedule", "[[100000, 1, 1]]",
-        )
+        # the spectrum is closed-form, so N = 100000 runs; the cap is on N itself
+        shift = '{"kind": "shift", "periodic": [1.0, 0.5]}'
+        result = cli("quantities", "--op", shift, "--quantity", "G", "--schedule", "[[100000, 1, 1]]")
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["results"][0]["value"] == 0.5
+        result = cli("quantities", "--op", shift, "--quantity", "G", "--schedule", "[[16777217, 1, 1]]")
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr.startswith("error: window N=100000 needs a matrix of 100001 rows")
+        assert result.stderr.startswith("error: window N=16777217 is above the cap of 16777216")
+
+    def test_quantities_exit_two_on_a_huge_diagonal_window(self):
+        # numpy used to be asked for 10^12 weights and died with exit 1
+        diagonal = '{"kind": "diagonal", "periodic": [2.0, 1.0]}'
+        result = cli("quantities", "--op", diagonal, "--quantity", "G", "--schedule", "[[1000000000000, 1, 1]]")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: window N=1000000000000 is above the cap")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["quantities", "--op", '{"kind": "diagonal", "periodic": [NaN]}', "--quantity", "G", "--schedule", "[[4, 1, 1]]"],
+                "config error: operator: Diagonal weights must be finite",
+            ),
+            (
+                ["quantities", "--op", '{"kind": "shift", "periodic": [1e400]}', "--quantity", "G", "--schedule", "[[4, 1, 1]]"],
+                "config error: operator: WeightedShift weights must be finite",
+            ),
+            (["run", "--config", "NAN_SUITE"], "config error: operator: Diagonal weights must be finite"),
+            (
+                ["verify", "--suite", "construction", "--epsilon", "0.1", "--c", "1e400"],
+                "config error: parameters.c: must be positive and finite",
+            ),
+        ],
+        ids=["nan-diagonal", "infinite-shift", "nan-suite", "infinite-c"],
+    )
+    def test_non_finite_numbers_exit_two(self, tmp_path, args, message):
+        # json.loads reads NaN, and 1e400 as inf
+        suite = {"operator": {"kind": "diagonal", "periodic": [float("nan")]}, "experiment": "construction_suite"}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(suite))
+        result = cli(*[str(path) if a == "NAN_SUITE" else a for a in args])
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == message + "\n"
 
     def test_run_exit_two_on_sub_basis_cap(self, tmp_path):
         witness = [v.to_dict() for v in odd_coordinate_witness(11, 0.5, anchor=22).basis]

@@ -40,6 +40,7 @@ from opquant import (
     restricted_min_modulus,
     restricted_norm,
     run_invariance_case,
+    scaled,
     sub_basis_coefficients,
     truncate,
     unit_vector,
@@ -123,6 +124,18 @@ class TestBuildBiorthogonal:
         for space in (ELL1, ELLINF):
             system = build_biorthogonal(Subspace(basis, space), 3, space)
             assert_biorthogonal(system)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12])
+    def test_any_scale_of_the_basis(self, scale):
+        # the same span: DEGENERATE_PROJECTION is relative to the step's start
+        M = odd_coordinate_witness(3)
+        reference = build_biorthogonal(M, 3)
+        system = build_biorthogonal(Subspace(tuple(scaled(b, scale) for b in M.basis)), 3)
+        for m, ref in zip(system.vectors, reference.vectors):
+            assert norm(linear_combine([1.0, -1.0], [m, ref])) < 1e-14
+        basis = (TailVector((scale, scale)), TailVector((0.0, scale, -scale)))
+        for space in (ELL1, ELLINF):
+            assert_biorthogonal(build_biorthogonal(Subspace(basis, space), 2, space))
 
     def test_count_exceeding_window(self):
         M = Subspace((unit_vector(1), unit_vector(2)))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opquant import ELL1, ELL2, ELLINF, BadDimensions, DegenerateBasis, Subspace, TailVector
@@ -25,6 +25,7 @@ from opquant.operators import (
     restricted_norm,
     truncate_operator,
     window_action_matrix,
+    window_singular_values,
 )
 
 E1 = unit_vector(1)
@@ -311,6 +312,35 @@ class TestWindowActionMatrix:
             expected[: T.block_size, :b] += T.block[:, :b]
         A = window_action_matrix(T, N)
         assert A.shape == expected.shape and A.tobytes() == expected.tobytes()
+
+
+class TestWindowSingularValues:
+    @settings(max_examples=300)
+    @given(operators_of(), st.integers(1, 40))
+    def test_against_a_dense_svd(self, T, N):
+        values = window_singular_values(T, N)
+        reference = np.linalg.svd(window_action_matrix(T, N), compute_uv=False)
+        assert values.shape == (N,)
+        if isinstance(T, (Diagonal, WeightedShift)):
+            # orthogonal columns: the spectrum is the sorted weight moduli, exactly
+            assert values.tobytes() == np.sort(np.abs(T.entries(N)))[::-1].tobytes()
+        np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-15 * reference[0])
+
+    def test_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for T in (IDENT, WeightedShift(periodic_values=(1.0, 0.5)), DenseMatrix(np.ones((3, 3)))):
+                with pytest.raises(BadDimensions, match="N=16777217 is above the cap of 16777216"):
+                    window_singular_values(T, 2**24 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_far_past_the_window_matrix_cap(self):
+        # a 100001 x 100000 window matrix is refused; its spectrum is not
+        values = window_singular_values(WeightedShift((0.7, 1.3), (1.0, 0.5)), 100_000)
+        assert (values[0], values[-1], values.size) == (1.3, 0.5, 100_000)
 
 
 class TestTruncateOperator:

@@ -76,6 +76,18 @@ class TestSvdOracle:
         assert nabla_kK(T, 6, 1, 2).value == 0.5
 
 
+class TestExactRoutes:
+    def test_diagonal_svd_oracle_is_exact(self):
+        # LAPACK gave 1.1759999999999997 on this 2 x 2 window
+        T = Diagonal((1.176,), (1.039,))
+        for method in ("svd_oracle", "subset_oracle", "auto"):
+            assert gamma_k(T, 2, 2, method=method).value == 1.176
+
+    def test_subset_oracle_needs_a_diagonal(self):
+        with pytest.raises(BadDimensions, match="subset_oracle needs a diagonal operator"):
+            gamma_k(WeightedShift(periodic_values=(1.0,)), 4, 1, method="subset_oracle")
+
+
 class TestGammaTau:
     def test_identity_everywhere(self):
         for k in (1, 2, 3):
