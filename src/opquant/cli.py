@@ -161,8 +161,8 @@ def _parse_schedule(raw) -> list:
 
 
 def _finite_number(value) -> bool:
-    """An int or a finite float; json.loads reads NaN and 1e400 as non-finite floats."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < math.inf
+    """A number with a finite float value: no NaN, no inf (json reads 1e400 as inf), no huge int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _check_number(params: dict, key: str, predicate, message: str) -> None:

@@ -134,10 +134,13 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=fragment):
                 parse(data)
 
-    def test_non_finite_expected_rejected(self):
-        for value in (float("nan"), float("inf")):
+    def test_non_finite_parameters_rejected(self):
+        for value in (float("nan"), float("inf"), 10**400):
             with pytest.raises(ConfigError, match=r"^parameters\.expected: must be a list of finite numbers$"):
                 parse(with_params(MINIMAL, expected=[1.0, value]))
+        # an int too large for a float used to pass and overflow in the build
+        with pytest.raises(ConfigError, match=r"^parameters\.c: must be positive and finite$"):
+            parse({**MINIMAL, "experiment": "construction_suite", "parameters": {"c": 10**400}})
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
