@@ -348,7 +348,7 @@ def _run_construction(config: ExperimentConfig, seed: int, results: list, violat
     for i in range(params.get("systems", 3)):
         dim = 2 + i % 3
         M = sample_witness_subspace(np.random.default_rng([seed, i]), dim)
-        system = build_biorthogonal(M, dim, space=config.space, seed=seed + i)
+        system = build_biorthogonal(M, dim, space=config.space)
         ca = build_core_approximants(system, T, epsilon, c)
         certificates = certify_construction(ca)
         violations.extend(
@@ -449,7 +449,7 @@ def emit_test_vectors(
 
     M = _witness(config)
     dim = params.get("vectors", 3) if M is None else M.dim
-    system = build_biorthogonal(M, dim, space=config.space, seed=seed)
+    system = build_biorthogonal(M, dim, space=config.space)
     ca = build_core_approximants(
         system, T, params.get("epsilon", 0.1), params.get("c", 1.0)
     )

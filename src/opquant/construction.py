@@ -49,7 +49,6 @@ from .seqspace import (
     norm,
     norming_functional,
     pairing,
-    project_into_kernels,
     scaled,
     unit_vector,
 )
@@ -64,8 +63,8 @@ MAX_WINDOW = 2**22
 # Delta/Nabla check enumerates: witnesses up to dimension 10.
 MAX_SUB_BASIS_PATTERNS = 2**10
 # Largest ambient system build_biorthogonal(None, count) draws: each new
-# vector is projected into the kernels of all earlier functionals, so the
-# work grows faster than count^2.  Test systems hold at most 8 vectors.
+# vector takes one kernel step per earlier pair, so the work grows faster
+# than count^2.  Test systems hold at most 8 vectors.
 _MAX_AMBIENT_VECTORS = 64
 
 
@@ -109,31 +108,6 @@ def _ambient_pool(count: int):
     return [unit_vector(j) for j in range(1, count + 1)]
 
 
-def _survives(w: TailVector, b: TailVector, space: SpaceConfig = ELL2) -> bool:
-    """Whether w, what a step left of b, keeps over DEGENERATE_PROJECTION of b's norm."""
-    return norm(w, space) > DEGENERATE_PROJECTION * norm(b, space)
-
-
-def _next_ell2_vector(
-    candidates: list[TailVector],
-    functionals: Sequence[LinearFunctional],
-    rng: np.random.Generator,
-    mix_pool: Sequence[TailVector],
-) -> TailVector:
-    """First candidate whose kernel projection survives, else seeded mixes."""
-    for idx, candidate in enumerate(candidates):
-        w = project_into_kernels(candidate, functionals) if functionals else candidate
-        if _survives(w, candidate):
-            candidates.pop(idx)
-            return w
-    for _ in range(100):
-        mix = linear_combine(rng.standard_normal(len(mix_pool)), mix_pool)
-        w = project_into_kernels(mix, functionals) if functionals else mix
-        if _survives(w, mix):
-            return w
-    raise ExhaustedSubspace("no nonzero kernel-intersection vector found in the window")
-
-
 def _kernel_step(b: TailVector, pairs: Iterable[tuple[TailVector, LinearFunctional]]) -> TailVector:
     """The paper's step: w = b, then w -= x'_j(w) m_j for each earlier pair in order.
 
@@ -154,12 +128,11 @@ def build_biorthogonal(
 ) -> BiorthogonalSystem:
     """Construct count biorthogonal vector/functional pairs inside M.
 
-    M = None draws from the ambient coordinate basis.  For p = 2 each
-    new vector is the kernel projection of the next unused basis vector
-    (seeded random mixes as fallback); for p in {1, inf} it is the kernel
-    step on b_n, so m_n lies in span{b_1..b_n}, and the basis must be
-    finitely supported.  A step that keeps at most DEGENERATE_PROJECTION
-    of its start's norm counts as degenerate.
+    M = None draws from the ambient coordinate basis.  For every p, m_n is
+    the normalised kernel step on b_n, so m_n lies in span{b_1..b_n}; for
+    p in {1, inf} the basis must be finitely supported.  A step that keeps
+    at most DEGENERATE_PROJECTION of b_n's norm counts as degenerate.  The
+    build is deterministic: seed is unused.
     """
     if count < 1:
         raise ExhaustedSubspace("count must be at least 1")
@@ -172,17 +145,12 @@ def build_biorthogonal(
     basis = list(M.basis) if M is not None else _ambient_pool(count)
     if space.p != 2 and any(not b.has_zero_tail for b in basis):
         raise OpquantError(f"p={space.p} construction needs finitely supported basis vectors")
-    rng = np.random.default_rng(seed)
     vectors: list[TailVector] = []
     functionals: list[LinearFunctional] = []
-    candidates = list(basis)
-    for n in range(1, count + 1):
-        if space.p == 2:
-            w = _next_ell2_vector(candidates, functionals, rng, basis)
-        else:
-            w = _kernel_step(basis[n - 1], zip(vectors, functionals))
-            if not _survives(w, basis[n - 1], space):
-                raise ExhaustedSubspace("kernel intersection vector degenerated")
+    for b in basis[:count]:
+        w = _kernel_step(b, zip(vectors, functionals))
+        if norm(w, space) <= DEGENERATE_PROJECTION * norm(b, space):
+            raise ExhaustedSubspace("kernel intersection vector degenerated")
         m = scaled(w, 1.0 / norm(w, space))
         vectors.append(m)
         functionals.append(norming_functional(m, space))
@@ -633,7 +601,7 @@ def run_invariance_case(
     c = witness_quantity * ((1.0 - delta) if shape.supremum else (1.0 + delta))
     if c <= 0.0:
         raise InvalidWitness(f"derived constant c = {c} is not positive")
-    system = build_biorthogonal(witness_M, witness_M.dim, witness_M.ambient, seed)
+    system = build_biorthogonal(witness_M, witness_M.dim, witness_M.ambient)
     ca = build_core_approximants(system, T, epsilon, c)
     L = Subspace(ca.z, witness_M.ambient)
     lower, upper = 1.0 - epsilon, 1.0 + epsilon

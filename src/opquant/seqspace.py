@@ -369,10 +369,13 @@ def project_into_kernels(
 def _project_off(v: TailVector, reps: Sequence[TailVector], g: np.ndarray) -> TailVector:
     """v minus its orthogonal projection onto span(reps), whose Gram matrix is g."""
     result = v
-    # one refinement pass guards against mild ill-conditioning
+    # done once every |<r_i, result>| is within 1e-15 ||v|| ||r_i||, a floor
+    # relative to both scales; one refinement pass guards against mild
+    # ill-conditioning
+    floor = 1e-15 * norm(v) * np.sqrt(np.diag(g))
     for _ in range(2):
         rhs = np.array([inner_product(r, result) for r in reps])
-        if np.max(np.abs(rhs), initial=0.0) <= 1e-15 * max(norm(v), 1.0):
+        if np.all(np.abs(rhs) <= floor):
             break
         sol = np.linalg.solve(g, rhs)
         result = linear_combine([1.0, *(-sol)], [result, *reps])

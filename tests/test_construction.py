@@ -125,7 +125,7 @@ class TestBuildBiorthogonal:
             system = build_biorthogonal(Subspace(basis, space), 3, space)
             assert_biorthogonal(system)
 
-    @pytest.mark.parametrize("scale", [1e-9, 1e-12])
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-30])
     def test_any_scale_of_the_basis(self, scale):
         # the same span: DEGENERATE_PROJECTION is relative to the step's start
         M = odd_coordinate_witness(3)

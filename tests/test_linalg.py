@@ -1,5 +1,5 @@
 """The numpy-only linear algebra: pencil eigenvalues, the rank rule, the
-p in {1, inf} kernel step, the stacked sub-basis check, lemma windows and
+kernel step for every p, the stacked sub-basis check, lemma windows and
 the dim-1 search.
 
 scipy serves only as a reference here; the library never imports it.
@@ -7,6 +7,7 @@ scipy serves only as a reference here; the library never imports it.
 
 import itertools
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -14,10 +15,10 @@ import textwrap
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opquant import ELL1, ELLINF, DegenerateBasis, Diagonal, FiniteRankPlus, Subspace, TailVector, WeightedShift
+from opquant import ELL1, ELL2, ELLINF, DegenerateBasis, Diagonal, FiniteRankPlus, Subspace, TailVector, WeightedShift
 from opquant import construction, seqspace
 from opquant.construction import (
     _congruence,
@@ -28,12 +29,14 @@ from opquant.construction import (
 )
 from opquant.operators import _pencil_eigs, _restricted_eigs, window_action_matrix
 from opquant.quantities import _alternating_search
-from opquant.sampling import odd_coordinate_witness, sample_lemma_functionals
+from opquant.sampling import odd_coordinate_witness, sample_lemma_functionals, sample_witness_subspace
 from opquant.seqspace import (
     GRAM_RANK_TOL,
     LinearFunctional,
     _check_positive_definite,
     _full_rank,
+    gram,
+    linear_combine,
     norm,
     pairing,
     unit_vector,
@@ -170,27 +173,52 @@ class TestRankRule:
         assert z.equals(unit_vector(3))
 
 
-class TestKernelStep:
-    """The p in {1, inf} build: the paper's step w = b_n - sum x'_j(w) m_j."""
+def assert_in_leading_spans(system, basis, width, tol):
+    """Each m_n lies in span{b_1..b_n}: its dense least-squares residual on 1..width is below tol."""
+    columns = np.array([b.coords(width) for b in basis]).T
+    for n, m in enumerate(system.vectors, start=1):
+        target = m.coords(width)
+        coeffs = np.linalg.lstsq(columns[:, :n], target, rcond=None)[0]
+        assert np.linalg.norm(columns[:, :n] @ coeffs - target) < tol
 
-    @pytest.mark.parametrize("space", [ELL1, ELLINF], ids=["p=1", "p=inf"])
+
+class TestKernelStep:
+    """The build for every p: the paper's step w = b_n - sum x'_j(w) m_j."""
+
+    @pytest.mark.parametrize("space", [ELL1, ELL2, ELLINF], ids=["p=1", "p=2", "p=inf"])
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1))
     def test_biorthogonal_in_leading_spans(self, space, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 6))
         basis = tuple(TailVector(rng.standard_normal(int(rng.integers(dim, dim + 4)))) for _ in range(dim))
-        system = build_biorthogonal(Subspace(basis, space), dim, space=space, seed=seed)
-        width = max(b.anchor for b in basis)
-        columns = np.array([b.coords(width) for b in basis]).T
+        system = build_biorthogonal(Subspace(basis, space), dim, space=space)
         for n, (m, f) in enumerate(zip(system.vectors, system.functionals), start=1):
             assert abs(norm(m, space) - 1.0) < 1e-12
             assert abs(pairing(f, m) - 1.0) < 1e-12
             assert all(abs(pairing(g, m)) < 1e-12 for g in system.functionals[: n - 1])
-            # m_n lies in span{b_1..b_n}: the dense least-squares residual vanishes
-            target = m.coords(width)
-            coeffs = np.linalg.lstsq(columns[:, :n], target, rcond=None)[0]
-            assert np.linalg.norm(columns[:, :n] @ coeffs - target) < 1e-12
+        assert_in_leading_spans(system, basis, max(b.anchor for b in basis), 1e-12)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.floats(-9.9, -6.0))
+    def test_ell2_witnesses_near_the_rank_rule(self, seed, log_ratio):
+        # a witness basis remixed so its Gram matrix has eigenvalues from 1
+        # down to 10^log_ratio: a ratio in (1e-10, 1e-6], just above the rank
+        # rule's GRAM_RANK_TOL
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        witness = sample_witness_subspace(rng, dim).basis
+        chol = np.linalg.cholesky(gram(witness))
+        v = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        root = v @ np.diag(np.logspace(0.0, log_ratio / 2.0, dim)) @ v.T
+        mix = np.linalg.solve(chol.T, root)
+        basis = tuple(linear_combine(mix[:, k], witness) for k in range(dim))
+        eigs = np.linalg.eigvalsh(gram(basis))
+        assume(1e-10 < eigs[0] / eigs[-1] <= 1e-6)
+        system = build_biorthogonal(Subspace(basis), dim)
+        # past the largest anchor every coordinate repeats one period times the ratio
+        width = max(b.anchor for b in basis) + 2 * math.lcm(*(b.period for b in basis))
+        assert_in_leading_spans(system, basis, width, 1e-9)
 
 
 def recorded_approximation(monkeypatch, *args, **kwargs):

@@ -32,6 +32,7 @@ from opquant import (
     unit_vector,
     zero_vector,
 )
+from opquant.sampling import sample_lemma_functionals
 
 E1 = unit_vector(1)
 E2 = unit_vector(2)
@@ -354,6 +355,20 @@ class TestProjection:
                 assert abs(pairing(f, w)) <= bound
             w2 = project_into_kernels(w, fs)
             assert norm(linear_combine([1.0, -1.0], [w, w2])) <= 1e-9 * max(norm(v), 1.0)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
+    def test_relative_pairings_at_any_scale(self, scale):
+        # refinement stops on |<r_i, w>| against ||v|| ||r_i||, so no scale of v
+        # is small enough to be returned unprojected
+        rng = np.random.default_rng(5)
+        fs = sample_lemma_functionals(rng, 2)
+        ratio = fs[0].representer.tail_ratio
+        for _ in range(20):
+            v = scaled(TailVector(rng.standard_normal(5), rng.standard_normal(2), ratio), scale)
+            w = project_into_kernels(v, fs)
+            for f in fs:
+                r = f.representer
+                assert abs(inner_product(r, w)) <= 1e-15 * norm(v) * norm(r)
 
     def test_degenerate_functionals_rejected(self):
         f = functional_from_representer(E1, ELL2)
