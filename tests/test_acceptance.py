@@ -63,7 +63,7 @@ def test_1_biorthogonality_suite():
     for i in range(50):
         dim = 2 + i % 7
         M = sample_witness_subspace(rng, dim) if i % 2 else finite_witness(rng, dim)
-        system = build_biorthogonal(M, dim, seed=i)
+        system = build_biorthogonal(M, dim)
         for n, (m, f) in enumerate(zip(system.vectors, system.functionals)):
             assert abs(norm(m) - 1.0) <= 1e-10
             assert abs(f.dual_norm - 1.0) <= 1e-10
@@ -88,7 +88,7 @@ def test_2_construction_suite():
     systems = []
     for i in range(10):
         M = sample_witness_subspace(rng, 2 + i % 3)
-        systems.append(build_biorthogonal(M, M.dim, seed=i))
+        systems.append(build_biorthogonal(M, M.dim))
     checks = violations = 0
     for epsilon in (0.5, 0.1, 0.01):
         for c in (0.5, 1.0, 2.0):
@@ -216,7 +216,7 @@ def test_6_invariance_cases():
     for label, T in operators.items():
         for part in ("Gamma", "Tau", "Delta", "Nabla"):
             for epsilon in (0.1, 0.05):
-                report = run_invariance_case(T, part, M, epsilon, 0.05, seed=6)
+                report = run_invariance_case(T, part, M, epsilon, 0.05)
                 assert report.passed, (label, part, epsilon, report.measured)
                 measured = report.measured
                 if part == "Gamma":
@@ -224,7 +224,7 @@ def test_6_invariance_cases():
                 elif part == "Tau":
                     slack = measured["restricted_min_modulus_L"] - measured["threshold"]
                 else:
-                    slack = measured["worst_margin"]
+                    slack = measured["certified_margin"]
                 assert slack >= 0.0, (label, part, epsilon, slack)
                 runs += 1
     elapsed = perf_counter() - start

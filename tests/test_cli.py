@@ -289,7 +289,7 @@ class TestViolationLists:
         for i in range(3):
             dim = 2 + i % 3
             M = sample_witness_subspace(np.random.default_rng([seed, i]), dim)
-            ca = build_core_approximants(build_biorthogonal(M, dim, seed=seed + i), T, epsilon, c)
+            ca = build_core_approximants(build_biorthogonal(M, dim), T, epsilon, c)
             certificates = certify_construction(ca)
             assert [name for name, *_ in certificates] == CERTIFICATES
             expected += [
@@ -309,9 +309,7 @@ class TestViolationLists:
         config = parse(
             {"operator": operator, "experiment": "invariance_case", "parameters": {"part": part, "seed": 2}}
         )
-        case = run_invariance_case(
-            config.build_operator(), part, odd_coordinate_witness(), 0.1, 0.05, seed=2
-        )
+        case = run_invariance_case(config.build_operator(), part, odd_coordinate_witness(), 0.1, 0.05)
         assert not case.passed
         measured = case.measured
         threshold = measured["threshold"]
@@ -322,7 +320,7 @@ class TestViolationLists:
             value = measured["restricted_min_modulus_L"]
             expected = violation("invariance_case.Tau", value, threshold, value - threshold)
         else:
-            margin = measured["worst_margin"]
+            margin = measured["certified_margin"]
             expected = violation(f"invariance_case.{part}", margin, threshold, margin)
         report = run(config)
         assert report.results == [case.to_dict()]
@@ -587,14 +585,30 @@ class TestCommandLine:
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == message + "\n"
 
-    def test_run_exit_two_on_sub_basis_cap(self, tmp_path):
+    def test_run_exit_zero_on_a_dimension_eleven_witness(self, tmp_path):
+        # 2^11 - 1 coordinate sub-bases, which no Delta/Nabla case enumerates
         witness = [v.to_dict() for v in odd_coordinate_witness(11, 0.5, anchor=22).basis]
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps(with_params(INVARIANCE_99, part="Nabla", witness=witness)))
-        result = cli("run", "--config", str(path))
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert result.stderr.startswith("error: Nabla needs 2047 sub-basis patterns")
+        for part in ("Delta", "Nabla"):
+            path = tmp_path / f"{part}.json"
+            path.write_text(json.dumps(with_params(INVARIANCE_99, part=part, witness=witness)))
+            result = cli("run", "--config", str(path))
+            assert (result.returncode, result.stderr) == (0, ""), part
+            (case,) = json.loads(result.stdout)["results"]
+            assert case["passed"] and len(case["constructed_L"]["basis"]) == 11
+            assert case["measured"]["certified_margin"] > 0.0
+
+    def test_sub_basis_samples_changes_no_report_byte(self, tmp_path):
+        # accepted and ignored: the certificate covers every sub-basis
+        outputs = []
+        for extra in ({}, {"sub_basis_samples": 7}):
+            path = tmp_path / f"case{len(outputs)}.json"
+            path.write_text(json.dumps(with_params(INVARIANCE_99, **extra)))
+            result = cli("run", "--config", str(path))
+            assert result.returncode == 0
+            outputs.append(result.stdout)
+        report = json.loads(outputs[1])
+        assert report["config"]["parameters"].pop("sub_basis_samples") == 7
+        assert _dumps(report) == outputs[0]
 
     def test_run_exit_two_on_unknown_parameter(self, tmp_path):
         data = {

@@ -1,11 +1,10 @@
 """The numpy-only linear algebra: pencil eigenvalues, the rank rule, the
-kernel step for every p, the stacked sub-basis check, lemma windows and
-the dim-1 search.
+kernel step for every p, the pencils of the Delta/Nabla certificate,
+lemma windows and the dim-1 search.
 
 scipy serves only as a reference here; the library never imports it.
 """
 
-import itertools
 import json
 import math
 import subprocess
@@ -18,15 +17,9 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opquant import ELL1, ELL2, ELLINF, DegenerateBasis, Diagonal, FiniteRankPlus, Subspace, TailVector, WeightedShift
+from opquant import ELL1, ELL2, ELLINF, DegenerateBasis, Diagonal, FiniteRankPlus, Subspace, TailVector
 from opquant import construction, seqspace
-from opquant.construction import (
-    _congruence,
-    build_biorthogonal,
-    check_dense_intersection,
-    run_invariance_case,
-    sub_basis_coefficients,
-)
+from opquant.construction import build_biorthogonal, check_dense_intersection, run_invariance_case
 from opquant.operators import _pencil_eigs, _restricted_eigs, window_action_matrix
 from opquant.quantities import _alternating_search
 from opquant.sampling import odd_coordinate_witness, sample_lemma_functionals, sample_witness_subspace
@@ -42,8 +35,6 @@ from opquant.seqspace import (
     unit_vector,
 )
 
-ALT12 = Diagonal(periodic_values=(1.0, 2.0))
-SHIFT = WeightedShift(prefix_values=(0.7, 1.3), periodic_values=(1.0, 0.5))
 FRP = FiniteRankPlus(
     [[0.4, -0.3, 0.1], [0.2, 0.5, -0.2], [-0.1, 0.3, 0.6]], Diagonal(periodic_values=(1.0, 2.0))
 )
@@ -221,81 +212,31 @@ class TestKernelStep:
         assert_in_leading_spans(system, basis, width, 1e-9)
 
 
-def recorded_approximation(monkeypatch, *args, **kwargs):
-    """run_invariance_case's report and the CoreApproximation it built."""
-    built = []
-    build = construction.build_core_approximants
-
-    def recording(*a, **k):
-        built.append(build(*a, **k))
-        return built[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(construction, "build_core_approximants", recording)
-        report = run_invariance_case(*args, **kwargs)
-    return report, built[0]
-
-
-def per_matrix_sub_bases(ca, part, threshold, coeffs_list):
-    """The sub-basis check one coefficient matrix at a time: (tested, triggered, worst)."""
-    supremum = part == "Delta"
-    extreme = -1 if supremum else 0
-    c = ca.c
-    tested = triggered = 0
-    worst = np.inf
-    for coeffs in coeffs_list:
-        try:
-            v_eigs = _restricted_eigs(_congruence(ca.gram_tz, coeffs), _congruence(ca.gram_z, coeffs))
-            av_eigs = _restricted_eigs(_congruence(ca.gram_tm, coeffs), _congruence(ca.system.gram_m, coeffs))
-        except DegenerateBasis:
-            continue
-        tested += 1
-        av_value, v_value = np.sqrt(av_eigs[extreme]), np.sqrt(v_eigs[extreme])
-        if (av_value > c) if supremum else (av_value < c):
-            triggered += 1
-            worst = min(worst, v_value - threshold if supremum else threshold - v_value)
-    return tested, triggered, worst if triggered else 0.0
-
-
-class TestStackedSubBases:
+class TestSubBasisCertificate:
     @pytest.mark.parametrize("part", ["Delta", "Nabla"])
-    def test_matches_per_matrix_loop(self, part, monkeypatch):
-        for ratio, T, epsilon in itertools.product((0.5, 0.99), (ALT12, SHIFT, FRP), (0.1, 0.01)):
-            M = odd_coordinate_witness(3, ratio)
-            report, ca = recorded_approximation(monkeypatch, T, part, M, epsilon, 0.05, seed=4, sub_basis_samples=60)
-            measured = report.measured
-            expected = per_matrix_sub_bases(ca, part, measured["threshold"], sub_basis_coefficients(3, 60, 4))
-            assert (measured["sub_bases_tested"], measured["sub_bases_triggered"], measured["worst_margin"]) == expected
+    def test_three_pencils_at_any_dimension(self, part, monkeypatch):
+        """Delta/Nabla read certify_construction's three pencils whatever the
+        witness dimension; no sub-basis is formed or solved."""
+        solved, stacked = [], []
+        restricted_eigs, eigvalsh = construction._restricted_eigs, np.linalg.eigvalsh
 
-    def test_degenerate_sub_bases_are_skipped(self, monkeypatch):
-        # every third coefficient matrix repeats a column, so its span fails the rank rule on both sides
-        def with_degenerate(dim, samples, seed):
-            for i, coeffs in enumerate(sub_basis_coefficients(dim, samples, seed)):
-                yield np.concatenate([coeffs, coeffs[:, :1]], axis=1) if i % 3 == 0 else coeffs
+        def counting_pencil(a, b):
+            solved.append(a.shape)
+            return restricted_eigs(a, b)
 
-        monkeypatch.setattr(construction, "sub_basis_coefficients", with_degenerate)
-        M = odd_coordinate_witness(3, 0.5)
-        report, ca = recorded_approximation(monkeypatch, ALT12, "Delta", M, 0.1, 0.05, seed=1, sub_basis_samples=30)
-        total = 2**3 - 1 + 30
-        assert report.measured["sub_bases_tested"] == total - len(range(0, total, 3))
-        measured = report.measured
-        expected = per_matrix_sub_bases(ca, "Delta", measured["threshold"], with_degenerate(3, 30, 1))
-        assert (measured["sub_bases_tested"], measured["sub_bases_triggered"], measured["worst_margin"]) == expected
-
-    @pytest.mark.parametrize("part", ["Delta", "Nabla"])
-    def test_four_eigvalsh_calls_per_rank(self, part, monkeypatch):
-        """Each side's congruence is ranked once and solved once: 4 stacked eigvalsh per rank."""
-        ranks = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
+        def counting_eigvalsh(a, *args, **kwargs):
             if a.ndim == 3:
-                ranks.append(a.shape[-1])
+                stacked.append(a.shape)
             return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        run_invariance_case(FRP, part, odd_coordinate_witness(3, 0.9), 0.1, 0.05, seed=2, sub_basis_samples=20)
-        assert sorted(ranks) == [1] * 4 + [2] * 4 + [3] * 4
+        monkeypatch.setattr(construction, "_restricted_eigs", counting_pencil)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        for dim in (3, 11):
+            solved.clear()
+            report = run_invariance_case(FRP, part, odd_coordinate_witness(dim, 0.9, anchor=23), 0.1, 0.05)
+            assert report.passed
+            assert solved == [(dim, dim)] * 3
+        assert stacked == []
 
 
 class TestLemmaWindows:
