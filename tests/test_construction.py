@@ -686,6 +686,15 @@ class TestInvarianceCases:
         b = run_invariance_case(ALT12, "Delta", odd_coordinate_witness(), 0.1, 0.05)
         assert a.measured == b.measured and a.c == b.c
 
+    def test_sub_basis_cap(self):
+        # 2^11 - 1 = 2047 coordinate patterns, above the former cap of 1024:
+        # the certificate covers every sub-basis, so no dimension is refused
+        M = odd_coordinate_witness(11, 0.5, anchor=22)
+        for part in ("Delta", "Nabla"):
+            report = run_invariance_case(IDENT, part, M, 0.1, 0.1)
+            assert report.passed and report.constructed_L.dim == 11
+            assert report.measured["certified_margin"] >= 0.0
+
     @pytest.mark.parametrize("part", ["Gamma", "Tau"])
     def test_gamma_tau_image_only_the_approximants(self, part, monkeypatch):
         # Gamma and Tau read gram_z and gram_tz alone: T reaches the z_n

@@ -5,6 +5,7 @@ lemma windows and the dim-1 search.
 scipy serves only as a reference here; the library never imports it.
 """
 
+import itertools
 import json
 import math
 import subprocess
@@ -17,11 +18,26 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opquant import ELL1, ELL2, ELLINF, DegenerateBasis, Diagonal, FiniteRankPlus, Subspace, TailVector
+from opquant import (
+    ELL1,
+    ELL2,
+    ELLINF,
+    DegenerateBasis,
+    Diagonal,
+    FiniteRankPlus,
+    Subspace,
+    TailVector,
+    WeightedShift,
+)
 from opquant import construction, seqspace
-from opquant.construction import build_biorthogonal, check_dense_intersection, run_invariance_case
+from opquant.construction import (
+    build_biorthogonal,
+    build_core_approximants,
+    check_dense_intersection,
+    run_invariance_case,
+)
 from opquant.operators import _pencil_eigs, _restricted_eigs, window_action_matrix
-from opquant.quantities import _alternating_search
+from opquant.quantities import _SHAPES, _alternating_search
 from opquant.sampling import odd_coordinate_witness, sample_lemma_functionals, sample_witness_subspace
 from opquant.seqspace import (
     GRAM_RANK_TOL,
@@ -237,6 +253,43 @@ class TestSubBasisCertificate:
             assert report.passed
             assert solved == [(dim, dim)] * 3
         assert stacked == []
+
+    @pytest.mark.parametrize("part", ["Delta", "Nabla"])
+    def test_below_the_per_matrix_loop(self, part):
+        """The sub-basis check one coefficient matrix at a time, over every
+        coordinate sub-basis and 60 random ones: no triggering V lies below
+        certified_margin, and the case passes."""
+        shape = _SHAPES[part]
+        extreme = -1 if shape.norm else 0
+        rng = np.random.default_rng(4)
+        coeffs_list = [np.eye(3)[:, list(p)] for r in (1, 2, 3) for p in itertools.combinations(range(3), r)]
+        coeffs_list += [rng.standard_normal((3, int(rng.integers(1, 4)))) for _ in range(60)]
+        operators = (
+            Diagonal(periodic_values=(1.0, 2.0)),
+            WeightedShift(prefix_values=(0.7, 1.3), periodic_values=(1.0, 0.5)),
+            FRP,
+        )
+        for ratio, T, epsilon in itertools.product((0.5, 0.99), operators, (0.1, 0.01)):
+            M = odd_coordinate_witness(3, ratio)
+            report = run_invariance_case(T, part, M, epsilon, 0.05)
+            assert report.passed
+            margin, threshold = report.measured["certified_margin"], report.measured["threshold"]
+            # the build is deterministic: this is the approximation the case read
+            ca = build_core_approximants(build_biorthogonal(M, 3), T, epsilon, report.c)
+            triggered = 0
+            for coeffs in coeffs_list:
+                try:
+                    v_eigs = _restricted_eigs(coeffs.T @ ca.gram_tz @ coeffs, coeffs.T @ ca.gram_z @ coeffs)
+                    av_eigs = _restricted_eigs(coeffs.T @ ca.gram_tm @ coeffs, coeffs.T @ ca.system.gram_m @ coeffs)
+                except DegenerateBasis:
+                    continue
+                av_value, v_value = math.sqrt(av_eigs[extreme]), math.sqrt(v_eigs[extreme])
+                if (av_value > ca.c) if shape.supremum else (av_value < ca.c):
+                    triggered += 1
+                    worst = v_value - threshold if shape.supremum else threshold - v_value
+                    assert margin <= worst + 1e-12 * abs(worst)
+            # the whole of L triggers: AV = M sits past c by delta
+            assert triggered >= 1
 
 
 class TestLemmaWindows:
