@@ -262,7 +262,7 @@ def parse_config(text: str) -> ExperimentConfig:
         "experiment: must be one of quantities, construction_suite, invariance_case, lemma_check",
     )
     space = _parse_space(data.get("space", {"p": 2}))
-    # every runner goes through l2 window projections and Gram solves
+    # every runner goes through l2 kernel projections and Gram solves
     _require(space.p == 2, f"space.p: {experiment} requires p = 2")
     operator = data.get("operator")
     if operator is not None:

@@ -2,15 +2,16 @@
 
 Given a subspace M (or the ambient space), this module builds a
 biorthogonal system m_n, x'_n, approximates each m_n by a finitely
-supported z_n inside the kernel intersection of the earlier functionals
-under a geometric error budget, and certifies from the Gram matrices,
-over every combination at once, that A : z_i -> m_i is a near isometry
-whose restricted norms and moduli transfer between span{z_n} and
-span{m_n} with (1 +/- eps) distortion; the verify_* checks test one
-combination.  The four invariance experiments instantiate the constant c
-from a measured quantity on a witness subspace and check the concluding
-bound on the constructed span, for Delta and Nabla on each of its
-sub-bases at once through the same certificates.
+supported z_n in the kernels of the earlier functionals (one closed-form
+step, shared with the lemma check) under a geometric error budget, and
+certifies from the Gram matrices, over every combination at once, that
+A : z_i -> m_i is a near isometry whose restricted norms and moduli
+transfer between span{z_n} and span{m_n} with (1 +/- eps) distortion;
+the verify_* checks test one combination.  The four invariance
+experiments instantiate the constant c from a measured quantity on a
+witness subspace and check the concluding bound on the constructed span,
+for Delta and Nabla on each of its sub-bases at once through the same
+certificates.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .operators import Operator, _restricted_eigs, apply, operator_norm, restric
 from .quantities import _SHAPES
 from .seqspace import (
     ELL2,
+    GRAM_RANK_TOL,
     LinearFunctional,
     SpaceConfig,
     Subspace,
@@ -44,6 +46,7 @@ from .seqspace import (
     _project_off,
     _remainder_norm,
     _representer_gram,
+    _tail_gram,
     gram,
     linear_combine,
     norm,
@@ -271,54 +274,29 @@ def _minimal_truncation_index(v: TailVector, target: float, space: SpaceConfig) 
     return J
 
 
-def _window_kernel_projection(
-    head: np.ndarray, functionals: Sequence[LinearFunctional]
-) -> Optional[np.ndarray]:
-    """Project a window vector against the representers' window heads.
-
-    A finitely supported vector pairs with a functional only through the
-    representer's leading coordinates, so Euclidean projection inside
-    the window gives exact kernel membership.  Returns None when the
-    window Gram fails the rank rule (caller should widen the window).
-    """
-    if not functionals:
-        return head
-    J = head.size
-    g = np.array([f.representer.coords(J) for f in functionals])
-    gg = g @ g.T
-    if not _full_rank(gg):
-        return None
-    alpha = np.linalg.solve(gg, g @ head)
-    return head - g.T @ alpha
-
-
 def _core_member(
-    m: TailVector, functionals: Sequence[LinearFunctional], J: int, tol: float, what: str
-) -> tuple[TailVector, TailVector, float, int]:
-    """(z, z - m, ||z - m||, J): z in the kernels of functionals, within tol of m.
+    m: TailVector, reps: Sequence[TailVector], J: int, tol: float, what: str
+) -> tuple[np.ndarray, float, int]:
+    """(beta, ||z - m||, J) for z = head_J(m) + sum_i beta_i head_J(r_i) within tol of m.
 
-    z is m truncated to coordinates 1..J and projected in the window; J
-    doubles until the exact defect fits, and a window above MAX_WINDOW
-    raises BudgetInfeasible before it is allocated.  The defect is at
-    least the discarded tail of m, so J doubles without building anything
-    while that tail's exact norm is above tol.
+    On m, r_1..r_k the heads' Gram is the full Gram minus the Gram past J
+    (_tail_gram).  beta = H^-1 s, with H its r-block and s = -<head r_i,
+    head m>, zeroes every <r_i, z>, and ||z - m||^2 = ||tail m||^2 + s . beta
+    as heads and tails have disjoint supports.  J doubles while ||tail m||
+    > tol, H fails the rank rule or the distance is above tol; a window
+    above MAX_WINDOW raises BudgetInfeasible.
     """
-    while True:
-        if J > MAX_WINDOW:
-            raise BudgetInfeasible(
-                f"{what} needs a window of {J} coordinates, above the cap of {MAX_WINDOW}"
-            )
-        if _remainder_norm(m, J, ELL2) > tol * (1.0 + 1e-12):
-            J *= 2
-            continue
-        projected = _window_kernel_projection(m.coords(J), functionals)
-        if projected is not None:
-            z = TailVector(projected)
-            defect = linear_combine([1.0, -1.0], [z, m])
-            gap = norm(defect)
-            if gap <= tol:
-                return z, defect, gap, J
+    full = _tail_gram([m, *reps], 0)
+    while J <= MAX_WINDOW:
+        tail = _tail_gram([m, *reps], J)
+        h, s = full[1:, 1:] - tail[1:, 1:], tail[1:, 0] - full[1:, 0]
+        if math.sqrt(tail[0, 0]) <= tol and (not reps or _full_rank(h)):
+            beta = np.linalg.solve(h, s)
+            distance = math.sqrt(max(0.0, tail[0, 0] + float(s @ beta)))
+            if distance <= tol:
+                return beta, distance, J
         J *= 2
+    raise BudgetInfeasible(f"{what} needs a window of {J} coordinates, above the cap of {MAX_WINDOW}")
 
 
 def build_core_approximants(
@@ -327,8 +305,9 @@ def build_core_approximants(
     """Approximate each m_n by z_n in the core within the step budget.
 
     Half of each budget buys the truncation index, the rest covers the
-    kernel-projection correction; the realized distance is measured
-    exactly and the window doubles until it fits.  A window above
+    head correction that puts z_n in the kernels (_core_member); the
+    window doubles until the closed-form distance fits, z_n is built once
+    at that window, and its distance is recorded exactly.  A window above
     MAX_WINDOW raises BudgetInfeasible.
     """
     if not 0.0 < epsilon < 1.0:
@@ -340,13 +319,15 @@ def build_core_approximants(
     T_norm = operator_norm(T, system.space)
     members = []
     for n, m in enumerate(system.vectors, start=1):
-        if m.has_zero_tail:
-            members.append((m, linear_combine([1.0, -1.0], [m, m]), 0.0))
-            continue
-        stack = system.kernel_stack(n)
-        bound = budget_bound(n, epsilon, c, T_norm)
-        J = max(_minimal_truncation_index(m, bound / 2.0, system.space), len(stack) + 1)
-        members.append(_core_member(m, stack, J, bound, f"step {n}")[:3])
+        z = m
+        if not m.has_zero_tail:
+            reps = [f.representer for f in system.kernel_stack(n)]
+            bound = budget_bound(n, epsilon, c, T_norm)
+            J = max(_minimal_truncation_index(m, bound / 2.0, system.space), len(reps) + 1)
+            beta, _, J = _core_member(m, reps, J, bound, f"step {n}")
+            z = TailVector(sum((b * r.coords(J) for b, r in zip(beta, reps)), m.coords(J)))
+        defect = linear_combine([1.0, -1.0], [z, m])
+        members.append((z, defect, norm(defect)))
     zs, defects, realized = zip(*members)
     ca = CoreApproximation(system, zs, defects, realized, epsilon, c, T_norm, T)
     for n, (gap, z) in enumerate(zip(ca.budgets, ca.z), start=1):
@@ -460,11 +441,11 @@ def check_dense_intersection(
     """Empirical density of the core inside a kernel intersection.
 
     Random vectors are projected into the intersection, then matched by
-    the core member of the construction step (_core_member) within tol;
-    a window above MAX_WINDOW raises BudgetInfeasible.
+    the core member of the construction step (_core_member) within tol,
+    its distance read in closed form with no window built; a window above
+    MAX_WINDOW raises BudgetInfeasible.
     """
-    if functionals:
-        reps, g = _representer_gram(functionals, "lemma functionals")
+    reps, g = _representer_gram(functionals, "lemma functionals") if functionals else ([], np.zeros((0, 0)))
     ratios = sorted({f.representer.tail_ratio for f in functionals if not f.representer.has_zero_tail})
     if len(ratios) > 1:
         raise IncompatibleTails("lemma functionals must share one tail ratio for exact projection")
@@ -481,11 +462,10 @@ def check_dense_intersection(
             ratio = float(rng.uniform(-0.9, 0.9))
         coeffs = rng.standard_normal(int(rng.integers(1, 4)))
         m = TailVector(prefix, coeffs, ratio)
-        if functionals:
-            m = _project_off(m, reps, g)
+        m = _project_off(m, reps, g)
         if norm(m) == 0.0:
             continue
-        _, _, distance, J = _core_member(m, functionals, max(m.anchor, base, 8), tol, f"lemma sample {i}")
+        _, distance, J = _core_member(m, reps, max(m.anchor, base, 8), tol, f"lemma sample {i}")
         max_distance = max(max_distance, distance)
         max_index = max(max_index, J)
     return {
@@ -555,7 +535,8 @@ def run_invariance_case(
     read from certify_construction: with the transfer t and the
     distortion extremes, (c - t)/distortion_upper - threshold for Delta
     and threshold - (c + t)/distortion_lower for Nabla.  Every side and
-    extreme comes from the quantity's shape.
+    extreme comes from the quantity's shape.  A minimal modulus that fails
+    the rank rule against the norm on M is rounding: InvalidWitness.
     """
     if part not in _SHAPES:
         raise ValueError(f"unknown part {part!r}")
@@ -567,6 +548,8 @@ def run_invariance_case(
     if all(b.has_zero_tail for b in witness_M.basis):
         raise InvalidWitness("witness basis lies inside the core; nothing to approximate")
     rmin, rnorm = restricted_extremes(T, witness_M)
+    if not shape.norm and rmin * rmin <= GRAM_RANK_TOL * rnorm * rnorm:
+        raise InvalidWitness(f"minimal modulus {rmin} fails the rank rule against the norm {rnorm}")
     witness_quantity = rnorm if shape.norm else rmin
     c = witness_quantity * ((1.0 - delta) if shape.supremum else (1.0 + delta))
     if c <= 0.0:

@@ -42,7 +42,7 @@ class BudgetInfeasible(OpquantError):
 
 
 class InvalidWitness(OpquantError):
-    """Witness subspace is degenerate for the requested experiment."""
+    """Witness subspace is degenerate, or its quantity rounding, for the requested experiment."""
 
 
 class ConfigError(OpquantError):

@@ -234,17 +234,18 @@ def inner_product(u: TailVector, v: TailVector) -> float:
     period = math.lcm(u.period, v.period)
     cu = _realigned_tail(u, anchor, period)
     cv = _realigned_tail(v, anchor, period)
-    rho = u.tail_ratio * v.tail_ratio
-    # sum over residues s of cu_s cv_s rho^s * sum_m rho^(period*m)
-    powers = rho ** np.arange(period)
-    power = rho**period
-    if power > 0.5:
-        # 1 - rho^P cancels and rho is rounded: take rho^P from the exact ratios' logs
-        denominator = -math.expm1(period * (math.log(abs(u.tail_ratio)) + math.log(abs(v.tail_ratio))))
-    else:
-        denominator = 1.0 - power
+    powers, denominator = _series_weights(u.tail_ratio, v.tail_ratio, period)
     total += float(np.dot(cu * cv, powers)) / denominator
     return total
+
+
+def _series_weights(ru: float, rv: float, period: int) -> tuple[np.ndarray, float]:
+    """rho^s for s < period and 1 - rho^period, rho = ru rv: tails pair as sum_s cu_s cv_s rho^s / (1 - rho^P)."""
+    rho = ru * rv
+    power = rho**period
+    # when 1 - rho^P cancels, rho is rounded: take rho^P from the exact ratios' logs
+    denominator = -math.expm1(period * (math.log(abs(ru)) + math.log(abs(rv)))) if power > 0.5 else 1.0 - power
+    return rho ** np.arange(period), denominator
 
 
 def norm(v: TailVector, space: SpaceConfig = ELL2) -> float:
@@ -392,6 +393,21 @@ def truncate(v: TailVector, J: int, space: SpaceConfig = ELL2) -> tuple[TailVect
 def _remainder_norm(v: TailVector, J: int, space: SpaceConfig) -> float:
     """Exact norm of the coordinates of v past J, for J >= v.anchor."""
     return norm(TailVector((), _realigned_tail(v, J, v.period), v.tail_ratio), space)
+
+
+def _tail_gram(vectors: Sequence[TailVector], J: int) -> np.ndarray:
+    """l^2 Gram matrix of the coordinates past J >= 0 of a nonempty family sharing one tail ratio."""
+    top = max(v.anchor for v in vectors)
+    head = np.array([v.coords(top)[J:] for v in vectors])  # coordinates J + 1 .. top
+    g = head @ head.T
+    tails = [v for v in vectors if not v.has_zero_tail]
+    if tails:
+        (ratio,) = {v.tail_ratio for v in tails}
+        period = math.lcm(*(v.period for v in tails))
+        powers, denominator = _series_weights(ratio, ratio, period)
+        w = np.array([_realigned_tail(v, max(top, J), period) for v in vectors]) * np.sqrt(powers)
+        g += w @ w.T / denominator
+    return g
 
 
 @dataclass(frozen=True, eq=False)

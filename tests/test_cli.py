@@ -597,6 +597,18 @@ class TestCommandLine:
             assert case["passed"] and len(case["constructed_L"]["basis"]) == 11
             assert case["measured"]["certified_margin"] > 0.0
 
+    def test_run_exit_two_on_a_rounding_level_modulus(self, tmp_path):
+        # a rank-3 block on a dimension-4 witness: the minimal modulus is 0,
+        # read as 7.4e-9 against a norm of 1.04
+        witness = [v.to_dict() for v in sample_witness_subspace(np.random.default_rng(2), 4).basis]
+        operator = {"kind": "dense", "block": [[1.0, 0.2, -0.4], [0.3, -0.5, 0.1], [0.0, 0.6, 0.2]]}
+        parameters = {"part": "Nabla", "epsilon": 0.3, "delta": 0.01, "witness": witness}
+        path = tmp_path / "rounding.json"
+        path.write_text(json.dumps({**INVARIANCE_99, "operator": operator, "parameters": parameters}))
+        result = cli("run", "--config", str(path))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "fails the rank rule" in result.stderr
+
     def test_sub_basis_samples_changes_no_report_byte(self, tmp_path):
         # accepted and ignored: the certificate covers every sub-basis
         outputs = []

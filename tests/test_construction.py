@@ -639,7 +639,8 @@ class TestDenseIntersection:
         assert rng.bit_generator.state == state
 
     def test_window_cap(self, monkeypatch):
-        # rounding in the window projection keeps the distance far above
+        # the tail of the sample, and past about 1000 coordinates the
+        # rounding in its pairings, keep the closed-form distance above
         # tol = 1e-300, so the window doubles until it passes the cap
         monkeypatch.setattr(construction, "MAX_WINDOW", 2**12)
         f = functional_from_representer(TailVector((1.0,), (1.0,), 0.5), ELL2)
@@ -694,6 +695,18 @@ class TestInvarianceCases:
             report = run_invariance_case(IDENT, part, M, 0.1, 0.1)
             assert report.passed and report.constructed_L.dim == 11
             assert report.measured["certified_margin"] >= 0.0
+
+    def test_rounding_level_minimal_modulus_refused(self):
+        # the dense block has rank 3, so its minimal modulus on a dimension-4
+        # witness is 0; restricted_extremes reads 7.4e-9 against a norm of 1.04,
+        # which fails the rank rule, so Tau and Nabla refuse the witness
+        M = sample_witness_subspace(np.random.default_rng(2), 4)
+        for part in ("Tau", "Nabla"):
+            with pytest.raises(InvalidWitness, match="minimal modulus .* fails the rank rule"):
+                run_invariance_case(OPERATORS["dense"], part, M, 0.3, 0.01)
+        # the norm is no rounding: Gamma and Delta run on the same witness
+        for part in ("Gamma", "Delta"):
+            assert run_invariance_case(OPERATORS["dense"], part, M, 0.3, 0.01).passed
 
     @pytest.mark.parametrize("part", ["Gamma", "Tau"])
     def test_gamma_tau_image_only_the_approximants(self, part, monkeypatch):

@@ -41,10 +41,10 @@ from opquant.quantities import _SHAPES, _alternating_search
 from opquant.sampling import odd_coordinate_witness, sample_lemma_functionals, sample_witness_subspace
 from opquant.seqspace import (
     GRAM_RANK_TOL,
-    LinearFunctional,
     _check_positive_definite,
     _full_rank,
     gram,
+    inner_product,
     linear_combine,
     norm,
     pairing,
@@ -164,20 +164,21 @@ class TestRankRule:
             _check_positive_definite(np.zeros((0, 0)), DegenerateBasis, "empty")
 
     def test_window_in_the_gap_widens(self):
-        """A window Gram whose eigenvalue ratio lies in (1e-12, 1e-10] fails the rank rule: J doubles."""
-        eta = 2.0 * 10**-5.5  # the window Gram [[1, 1], [1, 1 + eta^2]] has ratio about eta^2 / 4 = 1e-11
+        """A head Gram whose eigenvalue ratio lies in (1e-12, 1e-10] fails the rank rule: J doubles."""
+        eta = 2.0 * 10**-5.5  # the head Gram [[1, 1], [1, 1 + eta^2]] has ratio about eta^2 / 4 = 1e-11
         first = TailVector((1.0,))
         # the two representers part ways only at coordinate 5, past the first window
         second = TailVector((1.0, eta, 0.0, 0.0, 1.0))
-        functionals = [LinearFunctional(r, norm(r)) for r in (first, second)]
-        g = np.array([r.coords(4) for r in (first, second)])
-        eigs = np.linalg.eigvalsh(g @ g.T)
+        reps = [first, second]
+        # the closed form: the full Gram minus the Gram past 4, where the second anchor lies
+        h = seqspace._tail_gram(reps, 0) - seqspace._tail_gram(reps, 4)
+        eigs = np.linalg.eigvalsh(h)
         assert 1e-12 < eigs[0] / eigs[-1] <= GRAM_RANK_TOL
-        assert construction._window_kernel_projection(unit_vector(3).coords(4), functionals) is None
+        assert not _full_rank(h)
         # e_3 lies in both kernels; the window of 8 holds the fifth coordinate and solves exactly
-        z, defect, gap, J = construction._core_member(unit_vector(3), functionals, 4, 1e-8, "gap window")
-        assert (J, gap) == (8, 0.0)
-        assert z.equals(unit_vector(3))
+        beta, distance, J = construction._core_member(unit_vector(3), reps, 4, 1e-8, "gap window")
+        assert (J, distance) == (8, 0.0)
+        assert core_member(unit_vector(3), reps, beta, J).equals(unit_vector(3))
 
 
 def assert_in_leading_spans(system, basis, width, tol):
@@ -293,23 +294,25 @@ class TestSubBasisCertificate:
 
 
 class TestLemmaWindows:
-    def test_tail_bound_skips_only_failing_windows(self, monkeypatch):
-        """Without the discarded-tail bound, every window is built; the report is the same."""
-        windows = []
-        project = construction._window_kernel_projection
+    def test_no_coordinate_past_the_anchors(self, monkeypatch):
+        """The lemma path reads windows in closed form: it materialises no
+        coordinate past the largest anchor of a sample or representer."""
+        asked = []
+        coords = TailVector.coords
 
-        def counting(head, functionals):
-            windows.append(head.size)
-            return project(head, functionals)
+        def counting(self, n):
+            asked.append(n)
+            return coords(self, n)
 
-        monkeypatch.setattr(construction, "_window_kernel_projection", counting)
-        functionals = sample_lemma_functionals(np.random.default_rng(12), 3)
-        report = check_dense_intersection(functionals, samples=30, tol=1e-8, seed=3)
-        skipping = len(windows)
-        windows.clear()
-        monkeypatch.setattr(construction, "_remainder_norm", lambda v, J, space: 0.0)
-        assert check_dense_intersection(functionals, samples=30, tol=1e-8, seed=3) == report
-        assert skipping < len(windows)
+        monkeypatch.setattr(TailVector, "coords", counting)
+        for count in (1, 2, 3, 4):
+            functionals = sample_lemma_functionals(np.random.default_rng(700 + count), count)
+            report = check_dense_intersection(functionals, samples=100, tol=1e-8, seed=count)
+            assert report["passed"] and report["max_window"] >= 8
+            # samples carry at most 4 prefix coordinates, and so do the representers
+            largest = max(4, *(f.representer.anchor for f in functionals))
+            assert asked and max(asked) <= largest
+            asked.clear()
 
     def test_representer_gram_built_once(self, monkeypatch):
         calls = []
@@ -324,6 +327,95 @@ class TestLemmaWindows:
         functionals = sample_lemma_functionals(np.random.default_rng(13), 2)
         check_dense_intersection(functionals, samples=20, tol=1e-8, seed=0)
         assert calls == ["lemma functionals"]
+
+
+def core_member(m, reps, beta, J):
+    """z = head_J(m) + sum_i beta_i head_J(r_i), as build_core_approximants forms it."""
+    return TailVector(sum((b * r.coords(J) for b, r in zip(beta, reps)), m.coords(J)))
+
+
+def dense_core_member(m, reps, J):
+    """The dense reference: the window head of m projected off the
+    representers' window heads, through their k x J matrix."""
+    head = m.coords(J)
+    if not reps:
+        return head
+    g = np.array([r.coords(J) for r in reps])
+    gg = g @ g.T
+    assert _full_rank(gg)
+    return head - g.T @ np.linalg.solve(gg, g @ head)
+
+
+def assert_matches_dense(m, reps, beta, distance, J):
+    """z agrees with the dense reference at J to 1e-12 relative, and so
+    does ||z - m|| unless it lies within 1e-14 ||m|| of the reference's,
+    the rounding of a defect built from m's coordinates; z pairs to at
+    most BIORTHOGONAL_TOL with every representer."""
+    z = core_member(m, reps, beta, J)
+    reference = dense_core_member(m, reps, J)
+    assert np.linalg.norm(z.coords(J) - reference) <= 1e-12 * np.linalg.norm(reference)
+    expected = norm(linear_combine([1.0, -1.0], [TailVector(reference), m]))
+    assert abs(distance - expected) <= 1e-12 * expected + 1e-14 * norm(m)
+    assert all(abs(inner_product(r, z)) <= construction.BIORTHOGONAL_TOL for r in reps)
+    return z
+
+
+class TestCoreMember:
+    """The closed-form core step against the dense window projection it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_lemma_members_match_dense(self, seed, count):
+        rng = np.random.default_rng(seed)
+        functionals = sample_lemma_functionals(rng, count)
+        reps = [f.representer for f in functionals]
+        g = gram(reps)
+        ratio = reps[0].tail_ratio
+        for _ in range(5):
+            sample = TailVector(rng.standard_normal(int(rng.integers(0, 5))), rng.standard_normal(int(rng.integers(1, 4))), ratio)
+            m = seqspace._project_off(sample, reps, g)
+            if norm(m) < 1e-6 * norm(sample):
+                continue  # the sample lay in the representers' span: m is rounding
+            start = max(m.anchor, *(r.anchor for r in reps), 8)
+            beta, distance, J = construction._core_member(m, reps, start, 1e-8, "member")
+            assert distance <= 1e-8
+            assert_matches_dense(m, reps, beta, distance, J)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.sampled_from([Diagonal(periodic_values=(1.0, 2.0)), FRP]),
+        st.sampled_from([0.5, 0.1, 0.01]),
+        st.sampled_from([0.5, 2.0]),
+    )
+    def test_construction_steps_match_dense(self, seed, dim, T, epsilon, c):
+        M = sample_witness_subspace(np.random.default_rng(seed), dim)
+        self.check_build(M, T, epsilon, c)
+
+    def test_long_tails_match_dense(self):
+        # r = 0.99 takes windows of thousands of coordinates
+        self.check_build(odd_coordinate_witness(3, 0.99), FRP, 0.01, 1.0)
+
+    @staticmethod
+    def check_build(M, T, epsilon, c):
+        steps = []
+        member = construction._core_member
+
+        def recording(m, reps, J, tol, what):
+            out = member(m, reps, J, tol, what)
+            steps.append((m, reps, *out))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(construction, "_core_member", recording)
+            ca = build_core_approximants(build_biorthogonal(M, M.dim), T, epsilon, c)
+        built = [n for n, m in enumerate(ca.system.vectors) if not m.has_zero_tail]
+        assert len(steps) == len(built)
+        for n, (m, reps, beta, distance, J) in zip(built, steps):
+            assert m is ca.system.vectors[n] and len(reps) == n
+            assert assert_matches_dense(m, reps, beta, distance, J).equals(ca.z[n])
+            assert abs(ca.budgets[n] - distance) <= 1e-12 * distance + 1e-14
 
 
 def test_dim_one_search_takes_one_window_svd(monkeypatch):

@@ -33,6 +33,7 @@ from opquant import (
     zero_vector,
 )
 from opquant.sampling import sample_lemma_functionals
+from opquant.seqspace import _remainder_norm, _tail_gram
 
 E1 = unit_vector(1)
 E2 = unit_vector(2)
@@ -410,6 +411,25 @@ class TestTruncate:
     def test_rejects_short_window(self):
         with pytest.raises(ValueError):
             truncate(TailVector((1.0, 2.0, 3.0)), 1)
+
+    def test_tail_gram_matches_coords(self):
+        """The Gram past J, below, at and above the anchors, equals the dense
+        Gram of coordinates J + 1, J + 2, ...; past 0 it is the whole Gram."""
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            u, v = random_tail_vector(rng), random_tail_vector(rng)
+            if not (u.has_zero_tail or v.has_zero_tail):
+                v = TailVector(v.prefix, v.tail_coeffs, u.tail_ratio)
+            np.testing.assert_allclose(_tail_gram([u, v], 0), gram([u, v]), rtol=1e-13, atol=1e-15)
+            for J in {0, v.anchor // 2, max(v.anchor - 1, 0), v.anchor, v.anchor + 1, v.anchor + 5}:
+                dense = np.array([u.coords(J + 400)[J:], v.coords(J + 400)[J:]])
+                np.testing.assert_allclose(_tail_gram([u, v], J), dense @ dense.T, rtol=1e-12, atol=1e-14)
+                if J >= v.anchor:
+                    assert _tail_gram([v], J)[0, 0] == pytest.approx(_remainder_norm(v, J, ELL2) ** 2, rel=1e-13, abs=1e-300)
+
+    def test_tail_gram_needs_one_ratio(self):
+        with pytest.raises(ValueError):
+            _tail_gram([TailVector((), (1.0,), 0.5), TailVector((), (1.0,), 0.25)], 3)
 
 
 class TestGram:
