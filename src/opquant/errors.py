@@ -10,7 +10,7 @@ class DimensionMismatch(OpquantError):
 
 
 class IncompatibleTails(OpquantError):
-    """Nonzero geometric tails with different ratios cannot be combined exactly."""
+    """Nonzero geometric tails with different ratios, or a common period above the cap, cannot be combined exactly."""
 
 
 class ZeroVector(OpquantError):

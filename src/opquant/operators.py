@@ -31,6 +31,7 @@ from .seqspace import (
     TailVector,
     _as_readonly_array,
     _check_positive_definite,
+    _common_period,
     _realigned_tail,
     gram,
 )
@@ -161,7 +162,7 @@ def _apply_diagonal(T: _WeightLayout, v: TailVector) -> TailVector:
     head = v.coords(anchor) * T.entries(anchor)
     if v.has_zero_tail:
         return TailVector(head)
-    period = math.lcm(v.period, T.periodic_values.size)
+    period = _common_period(v.period, T.periodic_values.size)
     coeffs = _realigned_tail(v, anchor, period)
     didx = (anchor - d + np.arange(period)) % T.periodic_values.size
     return TailVector(head, coeffs * T.periodic_values[didx], v.tail_ratio)

@@ -2,8 +2,9 @@
 
 Vectors live in l^p (p in {1, 2, inf}) and are stored as a finite prefix
 plus a periodically modulated geometric tail, so norms, inner products and
-dual pairings all reduce to finite sums of geometric series.  All values
-are immutable; every operation is a pure function of its inputs.
+dual pairings all reduce to finite sums of geometric series, and one routine,
+gram, forms every l^2 Gram matrix.  Every common period passes one cap,
+MAX_PERIOD.  Values are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .errors import (
 
 # Relative eigenvalue threshold below which a Gram matrix counts as singular.
 GRAM_RANK_TOL = 1e-10
+# Largest common tail period formed: 8 MiB of float64 per tail array.
+MAX_PERIOD = 2**20
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,15 @@ def canonical(v: TailVector) -> TailVector:
     return TailVector(v.prefix, v.tail_coeffs, v.tail_ratio)
 
 
+def _common_period(*periods: int) -> int:
+    """The least common multiple of tail periods; IncompatibleTails above MAX_PERIOD."""
+    if (period := math.lcm(*periods)) > MAX_PERIOD:
+        raise IncompatibleTails(
+            f"tail periods {sorted(set(periods))} need a common period of {period}, above the cap of {MAX_PERIOD}"
+        )
+    return period
+
+
 def _realigned_tail(v: TailVector, anchor: int, period: int) -> np.ndarray:
     """Tail coefficients of v re-anchored at `anchor` with period `period`.
 
@@ -213,7 +225,7 @@ def linear_combine(coeffs: Sequence[float], vectors: Sequence[TailVector]) -> Ta
     if not ratios:
         return TailVector(prefix)
     ratio = ratios.pop()
-    period = math.lcm(*[v.period for v in vectors if not v.has_zero_tail])
+    period = _common_period(*(v.period for v in vectors if not v.has_zero_tail))
     tail = np.zeros(period)
     for a, v in zip(coeffs, vectors):
         if a != 0.0 and not v.has_zero_tail:
@@ -231,7 +243,7 @@ def inner_product(u: TailVector, v: TailVector) -> float:
     total = float(np.dot(u.coords(anchor), v.coords(anchor))) if anchor else 0.0
     if u.has_zero_tail or v.has_zero_tail:
         return total
-    period = math.lcm(u.period, v.period)
+    period = _common_period(u.period, v.period)
     cu = _realigned_tail(u, anchor, period)
     cv = _realigned_tail(v, anchor, period)
     powers, denominator = _series_weights(u.tail_ratio, v.tail_ratio, period)
@@ -255,10 +267,7 @@ def norm(v: TailVector, space: SpaceConfig = ELL2) -> float:
     if space.p == 1:
         total = float(np.sum(np.abs(v.prefix)))
         if not v.has_zero_tail:
-            r = abs(v.tail_ratio)
-            powers = r ** np.arange(v.period)
-            power = r**v.period
-            denominator = -math.expm1(v.period * math.log(r)) if power > 0.5 else 1.0 - power
+            powers, denominator = _series_weights(abs(v.tail_ratio), 1.0, v.period)
             total += float(np.dot(np.abs(v.tail_coeffs), powers)) / denominator
         return total
     # p = inf: tail terms |c_s| |r|^(s + m*P) are largest at m = 0
@@ -312,16 +321,6 @@ def norming_functional(v: TailVector, space: SpaceConfig) -> LinearFunctional:
     rep = np.zeros(j + 1)
     rep[j] = math.copysign(1.0, v.prefix[j])
     return functional_from_representer(TailVector(rep), space)
-
-
-def gram(basis: Sequence[TailVector]) -> np.ndarray:
-    """Symmetric matrix of pairwise l^2 inner products."""
-    n = len(basis)
-    g = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            g[i, j] = g[j, i] = inner_product(basis[i], basis[j])
-    return g
 
 
 def _full_rank(g: np.ndarray) -> np.ndarray:
@@ -395,15 +394,26 @@ def _remainder_norm(v: TailVector, J: int, space: SpaceConfig) -> float:
     return norm(TailVector((), _realigned_tail(v, J, v.period), v.tail_ratio), space)
 
 
-def _tail_gram(vectors: Sequence[TailVector], J: int) -> np.ndarray:
-    """l^2 Gram matrix of the coordinates past J >= 0 of a nonempty family sharing one tail ratio."""
-    top = max(v.anchor for v in vectors)
-    head = np.array([v.coords(top)[J:] for v in vectors])  # coordinates J + 1 .. top
+def gram(vectors: Sequence[TailVector], J: int = 0) -> np.ndarray:
+    """l^2 Gram matrix of the coordinates past J >= 0 of a family of tail vectors.
+
+    Coordinates J + 1 .. the largest anchor are read densely, the rest as
+    one geometric series per residue of the common period.  A family that
+    mixes tail ratios is paired one inner product at a time at J = 0 and
+    raises IncompatibleTails past J > 0.
+    """
+    n = len(vectors)
+    ratios = {v.tail_ratio for v in vectors if not v.has_zero_tail}
+    if len(ratios) > 1:
+        if J:
+            raise IncompatibleTails(f"the Gram past {J} needs one tail ratio, got {sorted(ratios)}")
+        return np.array([[inner_product(u, v) for v in vectors] for u in vectors])
+    top = max((v.anchor for v in vectors), default=0)
+    head = np.array([v.coords(top)[J:] for v in vectors]).reshape(n, max(top - J, 0))  # coordinates J + 1 .. top
     g = head @ head.T
-    tails = [v for v in vectors if not v.has_zero_tail]
-    if tails:
-        (ratio,) = {v.tail_ratio for v in tails}
-        period = math.lcm(*(v.period for v in tails))
+    if ratios:
+        (ratio,) = ratios
+        period = _common_period(*(v.period for v in vectors if not v.has_zero_tail))
         powers, denominator = _series_weights(ratio, ratio, period)
         w = np.array([_realigned_tail(v, max(top, J), period) for v in vectors]) * np.sqrt(powers)
         g += w @ w.T / denominator

@@ -609,6 +609,19 @@ class TestCommandLine:
         assert (result.returncode, result.stdout) == (2, "")
         assert "fails the rank rule" in result.stderr
 
+    def test_run_exit_two_on_the_common_period_cap(self, tmp_path):
+        # five witness tails of prime periods 101 .. 113 would need one
+        # common period of 1.4e10 coordinates
+        witness = [
+            {"prefix": [0.0] * i + [1.0], "tail_coeffs": [k % 7 + 1.0 for k in range(p)], "tail_ratio": 0.5}
+            for i, p in enumerate((101, 103, 107, 109, 113))
+        ]
+        path = tmp_path / "periods.json"
+        path.write_text(json.dumps(with_params(INVARIANCE_99, part="Gamma", delta=0.1, witness=witness)))
+        result = cli("run", "--config", str(path))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "need a common period of 13710311357, above the cap of 1048576" in result.stderr
+
     def test_sub_basis_samples_changes_no_report_byte(self, tmp_path):
         # accepted and ignored: the certificate covers every sub-basis
         outputs = []

@@ -638,6 +638,17 @@ class TestDenseIntersection:
             sample_lemma_functionals(rng, 7)
         assert rng.bit_generator.state == state
 
+    def test_sample_in_the_representers_span_is_skipped(self, monkeypatch):
+        # the lemma check of a run at seed 544698543: one of 100 samples keeps
+        # 3.7e-16 of its norm in the kernels, the next smallest 0.0136
+        seed = 544698543
+        fs = sample_lemma_functionals(np.random.default_rng(seed), 3)
+        calls = []
+        core_member = construction._core_member
+        monkeypatch.setattr(construction, "_core_member", lambda *args: calls.append(args) or core_member(*args))
+        report = check_dense_intersection(fs, samples=100, tol=1e-8, seed=seed)
+        assert report["passed"] and len(calls) == 99
+
     def test_window_cap(self, monkeypatch):
         # the tail of the sample, and past about 1000 coordinates the
         # rounding in its pairings, keep the closed-form distance above

@@ -171,7 +171,7 @@ class TestRankRule:
         second = TailVector((1.0, eta, 0.0, 0.0, 1.0))
         reps = [first, second]
         # the closed form: the full Gram minus the Gram past 4, where the second anchor lies
-        h = seqspace._tail_gram(reps, 0) - seqspace._tail_gram(reps, 4)
+        h = gram(reps) - gram(reps, 4)
         eigs = np.linalg.eigvalsh(h)
         assert 1e-12 < eigs[0] / eigs[-1] <= GRAM_RANK_TOL
         assert not _full_rank(h)

@@ -32,8 +32,10 @@ from opquant import (
     unit_vector,
     zero_vector,
 )
+from opquant import seqspace
+from opquant.operators import Diagonal, apply
 from opquant.sampling import sample_lemma_functionals
-from opquant.seqspace import _remainder_norm, _tail_gram
+from opquant.seqspace import _remainder_norm
 
 E1 = unit_vector(1)
 E2 = unit_vector(2)
@@ -125,6 +127,25 @@ class TestLinearCombine:
         w = linear_combine([2.0, -1.0], [u, v])
         n = 30
         np.testing.assert_allclose(w.coords(n), 2 * u.coords(n) - v.coords(n), atol=1e-14)
+
+    def test_common_period_cap(self):
+        # five tails of prime periods 101 .. 113 need a period of 1.4e10
+        vs = [TailVector((), np.arange(1.0, p + 1.0), 0.5) for p in (101, 103, 107, 109, 113)]
+        with pytest.raises(IncompatibleTails, match="common period of 13710311357, above the cap of 1048576"):
+            linear_combine([1.0] * 5, vs)
+        with pytest.raises(IncompatibleTails, match="above the cap"):
+            gram(vs)
+
+    def test_common_period_cap_is_read_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(seqspace, "MAX_PERIOD", 12)
+        u, v, w = (TailVector((), np.arange(1.0, p + 1.0), 0.5) for p in (3, 4, 5))
+        assert linear_combine([1.0, 1.0], [u, v]).period == 12
+        assert gram([u, v]).shape == (2, 2)
+        for call in (lambda: linear_combine([1.0, 1.0], [u, w]), lambda: inner_product(u, w), lambda: gram([u, w])):
+            with pytest.raises(IncompatibleTails, match=r"tail periods \[3, 5\] need a common period of 15, above the cap of 12"):
+                call()
+        with pytest.raises(IncompatibleTails, match="above the cap of 12"):
+            apply(Diagonal((), (1.0, 2.0, 3.0, 4.0, 5.0)), u)
 
     def test_distinct_ratios_rejected(self):
         u = TailVector((), (1.0,), 0.5)
@@ -256,6 +277,21 @@ class TestGeometricDenominators:
             assert abs(Decimal(inner_product(u, v)) - reference) <= Decimal("1e-14") * scale
             squares, _ = _decimal_tail_sum([Decimal(c) ** 2 for c in cu], Decimal(ru) ** 2)
             assert abs(Decimal(norm(u) ** 2) - squares) <= Decimal("1e-14") * squares
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(-1.0, 1.0), max_size=3), COEFFS, RATIOS)
+    def test_ell1_norm_bit_equal_to_its_inline_form(self, prefix, coeffs, r):
+        """The l^1 norm, read from the shared series weights, equals the formula it
+        replaced bit for bit, ratios within 1e-9 of 1 included."""
+        v = TailVector(prefix, coeffs, r)
+        total = float(np.sum(np.abs(v.prefix)))
+        if not v.has_zero_tail:
+            r = abs(v.tail_ratio)
+            powers = r ** np.arange(v.period)
+            power = r**v.period
+            denominator = -math.expm1(v.period * math.log(r)) if power > 0.5 else 1.0 - power
+            total += float(np.dot(np.abs(v.tail_coeffs), powers)) / denominator
+        assert norm(v, ELL1) == total
 
     @settings(max_examples=300)
     @given(COEFFS, RATIOS)
@@ -414,25 +450,79 @@ class TestTruncate:
 
     def test_tail_gram_matches_coords(self):
         """The Gram past J, below, at and above the anchors, equals the dense
-        Gram of coordinates J + 1, J + 2, ...; past 0 it is the whole Gram."""
+        Gram of coordinates J + 1, J + 2, ...; past 0 it is the matrix of
+        pairwise inner products."""
         rng = np.random.default_rng(9)
         for _ in range(100):
             u, v = random_tail_vector(rng), random_tail_vector(rng)
             if not (u.has_zero_tail or v.has_zero_tail):
                 v = TailVector(v.prefix, v.tail_coeffs, u.tail_ratio)
-            np.testing.assert_allclose(_tail_gram([u, v], 0), gram([u, v]), rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(gram([u, v]), _pairwise_gram([u, v]), rtol=1e-13, atol=1e-15)
             for J in {0, v.anchor // 2, max(v.anchor - 1, 0), v.anchor, v.anchor + 1, v.anchor + 5}:
                 dense = np.array([u.coords(J + 400)[J:], v.coords(J + 400)[J:]])
-                np.testing.assert_allclose(_tail_gram([u, v], J), dense @ dense.T, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(gram([u, v], J), dense @ dense.T, rtol=1e-12, atol=1e-14)
                 if J >= v.anchor:
-                    assert _tail_gram([v], J)[0, 0] == pytest.approx(_remainder_norm(v, J, ELL2) ** 2, rel=1e-13, abs=1e-300)
+                    assert gram([v], J)[0, 0] == pytest.approx(_remainder_norm(v, J, ELL2) ** 2, rel=1e-13, abs=1e-300)
 
     def test_tail_gram_needs_one_ratio(self):
-        with pytest.raises(ValueError):
-            _tail_gram([TailVector((), (1.0,), 0.5), TailVector((), (1.0,), 0.25)], 3)
+        """A family that mixes tail ratios is the pairwise matrix, bit for bit, at
+        J = 0; past J > 0 it raises."""
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            mixed = [TailVector((1.0,), (1.0,), 0.5), TailVector((), (1.0,), 0.25)]
+            vs = [random_tail_vector(rng) for _ in range(4)] + mixed
+            np.testing.assert_array_equal(gram(vs), _pairwise_gram(vs))
+        for J in (1, 3):
+            with pytest.raises(IncompatibleTails, match="one tail ratio"):
+                gram([TailVector((), (1.0,), 0.5), TailVector((), (1.0,), 0.25)], J)
+
+
+def _pairwise_gram(vectors):
+    """The Gram matrix one inner product at a time, each entry mirrored."""
+    g = np.zeros((len(vectors), len(vectors)))
+    for i in range(len(vectors)):
+        for j in range(i + 1):
+            g[i, j] = g[j, i] = inner_product(vectors[i], vectors[j])
+    return g
+
+
+def _past(v, J):
+    """The coordinates of v past J as a tail vector indexed from 1."""
+    if J <= v.anchor:
+        return TailVector(v.prefix[J:], v.tail_coeffs, v.tail_ratio)
+    d = J - v.anchor
+    return TailVector((), v.tail_coeffs[(np.arange(v.period) + d) % v.period] * v.tail_ratio**d, v.tail_ratio)
+
+
+@st.composite
+def single_ratio_families(draw):
+    """1-5 vectors on one tail ratio, some with zero tails, anchors up to 200, and J up to 10 past them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ratio = draw(st.floats(0.3, 0.999)) * draw(st.sampled_from((1.0, -1.0)))
+    vectors = []
+    for zero_tail in draw(st.lists(st.booleans(), min_size=1, max_size=5)):
+        prefix = rng.standard_normal(draw(st.integers(0, 200)))
+        coeffs = (0.0,) if zero_tail else rng.standard_normal(draw(st.integers(1, 4)))
+        vectors.append(TailVector(prefix, coeffs, ratio))
+    return vectors, draw(st.integers(0, max(v.anchor for v in vectors) + 10))
 
 
 class TestGram:
+    @settings(max_examples=200)
+    @given(single_ratio_families())
+    def test_single_ratio_family_past_J(self, family):
+        """The Gram past J is the pairwise matrix of the coordinates past J to 1e-13
+        of sqrt(g_ii g_jj), and exactly symmetric."""
+        vectors, J = family
+        g = gram(vectors, J)
+        reference = _pairwise_gram([_past(v, J) for v in vectors])
+        scale = np.sqrt(np.outer(np.diag(reference), np.diag(reference)))
+        assert np.all(np.abs(g - reference) <= 1e-13 * scale)
+        np.testing.assert_array_equal(g, g.T)
+
+    def test_empty_family(self):
+        assert gram([]).shape == (0, 0)
+
     def test_orthonormal_pair(self):
         np.testing.assert_array_equal(gram([E1, E2]), np.eye(2))
 
