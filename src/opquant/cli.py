@@ -438,14 +438,15 @@ def emit_test_vectors(
     params = config.parameters
     T = config.build_operator() if config.operator is not None else Diagonal(periodic_values=(1.0,))
     schedule = params.get("schedule") or [[4, 1, 2]]
-    windows = sorted({entry[0] for entry in schedule})
-    values = {N: window_singular_values(T, N).tolist() for N in windows}
-    singular_values = [{"N": N, "values": values[N]} for N in windows]
-    # each window value is one order statistic of the window's singular values
-    quantity_rows = [
-        {"N": N, "k": k, "K": K, **{q: values[N][_descending_index(q, N, k, K)] for q in QUANTITIES}}
-        for N, k, K in schedule
-    ]
+    # each value is one order statistic of its window's spectrum, held one window at a time
+    quantity_rows: list = [None] * len(schedule)
+    for N in sorted({entry[0] for entry in schedule}):
+        values = window_singular_values(T, N)
+        for i, (n, k, K) in enumerate(schedule):
+            if n == N:
+                order = {q: float(values[_descending_index(q, N, k, K)]) for q in QUANTITIES}
+                quantity_rows[i] = {"N": N, "k": k, "K": K, **order}
+        del values
 
     M = _witness(config)
     dim = params.get("vectors", 3) if M is None else M.dim
@@ -462,7 +463,6 @@ def emit_test_vectors(
         "version": __version__,
         "seed": seed,
         "config": config.to_dict(),
-        "singular_values": singular_values,
         "quantities": quantity_rows,
         "biorthogonal": {
             "vectors": [m.to_dict() for m in system.vectors],

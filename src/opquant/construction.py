@@ -273,22 +273,24 @@ def _minimal_truncation_index(v: TailVector, target: float, space: SpaceConfig) 
 
 
 def _core_member(
-    m: TailVector, reps: Sequence[TailVector], J: int, tol: float, what: str
+    m: TailVector, reps: Sequence[TailVector], tol: float, what: str
 ) -> tuple[np.ndarray, float, int]:
     """(beta, ||z - m||, J) for z = head_J(m) + sum_i beta_i head_J(r_i) within tol of m.
 
     On m, r_1..r_k the heads' Gram is the full Gram minus the Gram past J
     (gram).  beta = H^-1 s, with H its r-block and s = -<head r_i,
     head m>, zeroes every <r_i, z>, and ||z - m||^2 = ||tail m||^2 + s . beta
-    as heads and tails have disjoint supports.  J doubles while ||tail m||
-    > tol, H fails the rank rule or the distance is above tol; a window
-    above MAX_WINDOW raises BudgetInfeasible.
+    as heads and tails have disjoint supports.  J starts at m's truncation
+    index for tol/2, at least k + 1, and doubles only while H fails the rank
+    rule or the distance is above tol; a window above MAX_WINDOW raises
+    BudgetInfeasible.
     """
+    J = max(_minimal_truncation_index(m, tol / 2.0, ELL2), len(reps) + 1)
     full = gram([m, *reps])
     while J <= MAX_WINDOW:
         tail = gram([m, *reps], J)
         h, s = full[1:, 1:] - tail[1:, 1:], tail[1:, 0] - full[1:, 0]
-        if math.sqrt(tail[0, 0]) <= tol and (not reps or _full_rank(h)):
+        if not reps or _full_rank(h):
             beta = np.linalg.solve(h, s)
             distance = math.sqrt(max(0.0, tail[0, 0] + float(s @ beta)))
             if distance <= tol:
@@ -302,11 +304,11 @@ def build_core_approximants(
 ) -> CoreApproximation:
     """Approximate each m_n by z_n in the core within the step budget.
 
-    Half of each budget buys the truncation index, the rest covers the
-    head correction that puts z_n in the kernels (_core_member); the
-    window doubles until the closed-form distance fits, z_n is built once
-    at that window, and its distance is recorded exactly.  A window above
-    MAX_WINDOW raises BudgetInfeasible.
+    _core_member picks the window from the step budget: half of it buys
+    the truncation index, the rest covers the head correction that puts
+    z_n in the kernels.  z_n is built once at the accepted window, and
+    its distance is recorded exactly.  A window above MAX_WINDOW raises
+    BudgetInfeasible.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
@@ -320,9 +322,7 @@ def build_core_approximants(
         z = m
         if not m.has_zero_tail:
             reps = [f.representer for f in system.kernel_stack(n)]
-            bound = budget_bound(n, epsilon, c, T_norm)
-            J = max(_minimal_truncation_index(m, bound / 2.0, system.space), len(reps) + 1)
-            beta, _, J = _core_member(m, reps, J, bound, f"step {n}")
+            beta, _, J = _core_member(m, reps, budget_bound(n, epsilon, c, T_norm), f"step {n}")
             z = TailVector(sum((b * r.coords(J) for b, r in zip(beta, reps)), m.coords(J)))
         defect = linear_combine([1.0, -1.0], [z, m])
         members.append((z, defect, norm(defect)))
@@ -440,16 +440,15 @@ def check_dense_intersection(
 
     Random vectors are projected into the intersection, then matched by
     the core member of the construction step (_core_member) within tol,
-    its distance read in closed form with no window built; a window above
-    MAX_WINDOW raises BudgetInfeasible.  A sample that keeps at most
-    DEGENERATE_PROJECTION of its norm in the kernels is skipped.
+    from the same first window as the build, its distance read in closed
+    form with no window built; a window above MAX_WINDOW raises
+    BudgetInfeasible.  A sample that keeps at most DEGENERATE_PROJECTION
+    of its norm in the kernels is skipped.
     """
     reps, g = _representer_gram(functionals, "lemma functionals") if functionals else ([], np.zeros((0, 0)))
     ratios = sorted({f.representer.tail_ratio for f in functionals if not f.representer.has_zero_tail})
     rng = np.random.default_rng(seed)
-    max_distance = 0.0
-    max_index = 0
-    base = max([f.representer.anchor for f in functionals], default=0)
+    max_distance, max_index = 0.0, 0
     for i in range(samples):
         anchor = int(rng.integers(0, 5))
         prefix = rng.standard_normal(anchor)
@@ -462,7 +461,7 @@ def check_dense_intersection(
         m = _project_off(sample, reps, g)
         if norm(m) <= DEGENERATE_PROJECTION * norm(sample):
             continue
-        _, distance, J = _core_member(m, reps, max(m.anchor, base, 8), tol, f"lemma sample {i}")
+        _, distance, J = _core_member(m, reps, tol, f"lemma sample {i}")
         max_distance = max(max_distance, distance)
         max_index = max(max_index, J)
     return {
@@ -486,7 +485,7 @@ class CaseReport:
     witness_M: Subspace
     constructed_L: Subspace
     measured: dict
-    passed: bool
+    passed = property(lambda self: self.margin[2] >= -INEQUALITY_SLACK)
 
     @property
     def margin(self) -> tuple[float, float, float]:
@@ -572,5 +571,4 @@ def run_invariance_case(
         value = math.sqrt(float(_restricted_eigs(ca.gram_tz, ca.gram_z)[-1 if shape.norm else 0]))
         key = "restricted_norm_L" if shape.norm else "restricted_min_modulus_L"
         measured.update({key: value, "threshold": threshold})
-        margin = value - threshold if shape.supremum else threshold - value
-    return CaseReport(part, c, delta, epsilon, witness_M, L, measured, margin >= -INEQUALITY_SLACK)
+    return CaseReport(part, c, delta, epsilon, witness_M, L, measured)

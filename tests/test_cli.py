@@ -333,31 +333,45 @@ class TestVectors:
         bundle = emit_test_vectors(parse(IDENTITY), str(out))
         assert bundle["core"]["ratios"] == [1.0, 1.0, 1.0]
         assert bundle["core"]["budgets"] == [0.0, 0.0, 0.0]
-        for row in bundle["singular_values"]:
-            assert all(v == 1.0 for v in row["values"])
         for row in bundle["quantities"]:
             assert {row["Gamma"], row["Tau"], row["Delta"], row["Nabla"]} == {1.0}
+        # Tau on (N, k, k) reads the k-th largest singular value, so these
+        # rows read every singular value of each window
+        every = [[N, k, k] for N in (4, 8, 12) for k in range(1, N + 1)]
+        bundle = emit_test_vectors(parse(with_params(IDENTITY, schedule=every)), str(out))
+        assert [row["Tau"] for row in bundle["quantities"]] == [1.0] * len(every)
 
     def test_diagonal_window_sigma(self, tmp_path):
         data = {
             "space": {"p": 2},
             "operator": {"kind": "diagonal", "prefix": [1, 2, 3, 4], "periodic": [0.0]},
             "experiment": "quantities",
-            "parameters": {"quantity": "Gamma", "schedule": [[4, 1, 2]]},
+            "parameters": {"quantity": "Gamma", "schedule": [[4, k, k] for k in range(1, 5)]},
         }
         bundle = emit_test_vectors(parse(data), str(tmp_path / "v.json"))
-        assert bundle["singular_values"] == [{"N": 4, "values": [4.0, 3.0, 2.0, 1.0]}]
+        assert [row["Tau"] for row in bundle["quantities"]] == [4.0, 3.0, 2.0, 1.0]
 
     def test_shift_window_sigma(self, tmp_path):
         data = {
             "space": {"p": 2},
             "operator": {"kind": "shift", "periodic": [1.0, 0.5]},
             "experiment": "quantities",
-            "parameters": {"quantity": "Gamma", "schedule": [[6, 1, 1]]},
+            "parameters": {"quantity": "Gamma", "schedule": [[6, k, k] for k in range(1, 7)]},
         }
         bundle = emit_test_vectors(parse(data), str(tmp_path / "v.json"))
-        assert bundle["singular_values"] == [{"N": 6, "values": [1.0, 1.0, 1.0, 0.5, 0.5, 0.5]}]
+        assert [row["Tau"] for row in bundle["quantities"]] == [1.0, 1.0, 1.0, 0.5, 0.5, 0.5]
         assert bundle["quantities"][0]["Gamma"] == 0.5
+
+    def test_rows_only(self, tmp_path):
+        # a bundle writes each row's four values and no window spectrum
+        schedule = [[2**16 + 1, 1, 2], [2**16, 1, 1], [2**16 + 1, 2, 3]]
+        out = tmp_path / "v.json"
+        bundle = emit_test_vectors(parse(with_params(MINIMAL, schedule=schedule)), str(out))
+        assert "singular_values" not in bundle
+        assert [[row["N"], row["k"], row["K"]] for row in bundle["quantities"]] == schedule
+        assert [row["Tau"] for row in bundle["quantities"]] == [2.0, 2.0, 2.0]
+        assert [row["Gamma"] for row in bundle["quantities"]] == [1.0, 1.0, 1.0]
+        assert out.stat().st_size < 10_000
 
     @pytest.mark.parametrize(
         "operator, schedule",

@@ -650,12 +650,12 @@ class TestDenseIntersection:
         assert report["passed"] and len(calls) == 99
 
     def test_window_cap(self, monkeypatch):
-        # the tail of the sample, and past about 1000 coordinates the
-        # rounding in its pairings, keep the closed-form distance above
-        # tol = 1e-300, so the window doubles until it passes the cap
+        # at tol = 1e-300 the first window is 542, where the squared tail of
+        # the sample underflows; the rounding in its pairings keeps the
+        # closed-form distance above tol, so the window doubles past the cap
         monkeypatch.setattr(construction, "MAX_WINDOW", 2**12)
         f = functional_from_representer(TailVector((1.0,), (1.0,), 0.5), ELL2)
-        with pytest.raises(BudgetInfeasible, match="lemma sample 0 needs a window of 8192"):
+        with pytest.raises(BudgetInfeasible, match="lemma sample 0 needs a window of 4336"):
             check_dense_intersection([f], samples=1, tol=1e-300, seed=0)
 
     def test_dependent_functionals_rejected(self):

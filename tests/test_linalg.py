@@ -5,6 +5,7 @@ lemma windows and the dim-1 search.
 scipy serves only as a reference here; the library never imports it.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -170,14 +171,15 @@ class TestRankRule:
         # the two representers part ways only at coordinate 5, past the first window
         second = TailVector((1.0, eta, 0.0, 0.0, 1.0))
         reps = [first, second]
-        # the closed form: the full Gram minus the Gram past 4, where the second anchor lies
-        h = gram(reps) - gram(reps, 4)
+        # the first window is 3 (e_3 has no tail, and two representers need
+        # three coordinates): the full Gram minus the Gram past 3
+        h = gram(reps) - gram(reps, 3)
         eigs = np.linalg.eigvalsh(h)
         assert 1e-12 < eigs[0] / eigs[-1] <= GRAM_RANK_TOL
         assert not _full_rank(h)
-        # e_3 lies in both kernels; the window of 8 holds the fifth coordinate and solves exactly
-        beta, distance, J = construction._core_member(unit_vector(3), reps, 4, 1e-8, "gap window")
-        assert (J, distance) == (8, 0.0)
+        # e_3 lies in both kernels; the window of 6 holds the fifth coordinate and solves exactly
+        beta, distance, J = construction._core_member(unit_vector(3), reps, 1e-8, "gap window")
+        assert (J, distance) == (6, 0.0)
         assert core_member(unit_vector(3), reps, beta, J).equals(unit_vector(3))
 
 
@@ -308,7 +310,7 @@ class TestLemmaWindows:
         for count in (1, 2, 3, 4):
             functionals = sample_lemma_functionals(np.random.default_rng(700 + count), count)
             report = check_dense_intersection(functionals, samples=100, tol=1e-8, seed=count)
-            assert report["passed"] and report["max_window"] >= 8
+            assert report["passed"]
             # samples carry at most 4 prefix coordinates, and so do the representers
             largest = max(4, *(f.representer.anchor for f in functionals))
             assert asked and max(asked) <= largest
@@ -376,8 +378,7 @@ class TestCoreMember:
             m = seqspace._project_off(sample, reps, g)
             if norm(m) < 1e-6 * norm(sample):
                 continue  # the sample lay in the representers' span: m is rounding
-            start = max(m.anchor, *(r.anchor for r in reps), 8)
-            beta, distance, J = construction._core_member(m, reps, start, 1e-8, "member")
+            beta, distance, J = construction._core_member(m, reps, 1e-8, "member")
             assert distance <= 1e-8
             assert_matches_dense(m, reps, beta, distance, J)
 
@@ -402,8 +403,8 @@ class TestCoreMember:
         steps = []
         member = construction._core_member
 
-        def recording(m, reps, J, tol, what):
-            out = member(m, reps, J, tol, what)
+        def recording(m, reps, tol, what):
+            out = member(m, reps, tol, what)
             steps.append((m, reps, *out))
             return out
 
@@ -416,6 +417,91 @@ class TestCoreMember:
             assert m is ca.system.vectors[n] and len(reps) == n
             assert assert_matches_dense(m, reps, beta, distance, J).equals(ca.z[n])
             assert abs(ca.budgets[n] - distance) <= 1e-12 * distance + 1e-14
+
+
+class TestFirstWindow:
+    """The core step starts at the closed-form window, the smallest whose
+    tail of m is at most tol/2 and at least k + 1 for k representers, and
+    widens only when the head Gram fails the rank rule."""
+
+    def test_lemma_families(self):
+        with self.recording() as steps:
+            for count in (1, 2, 3, 4):
+                functionals = sample_lemma_functionals(np.random.default_rng(700 + count), count)
+                assert check_dense_intersection(functionals, samples=100, tol=1e-8, seed=count)["passed"]
+        assert len(steps) == 400
+        self.check(steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.sampled_from([Diagonal(periodic_values=(1.0, 2.0)), FRP]),
+        st.sampled_from([0.5, 0.1, 0.01]),
+        st.sampled_from([0.5, 2.0]),
+    )
+    def test_construction_steps(self, seed, dim, T, epsilon, c):
+        M = sample_witness_subspace(np.random.default_rng(seed), dim)
+        with self.recording() as steps:
+            ca = build_core_approximants(build_biorthogonal(M, M.dim), T, epsilon, c)
+        assert len(steps) == sum(not m.has_zero_tail for m in ca.system.vectors)
+        self.check(steps)
+
+    def test_window_floor(self):
+        # e_1 has no tail, so its truncation index is 1, but two representers
+        # start at 3 coordinates; the second lies past 3, so J widens once
+        reps = [unit_vector(3), unit_vector(4)]
+        with self.recording() as steps:
+            beta, distance, J = construction._core_member(unit_vector(1), reps, 1e-8, "floor")
+        assert steps == [(3, [3, 6], 1, 1, 6)]
+        assert (distance, beta.tolist()) == (0.0, [0.0, 0.0])
+
+    @staticmethod
+    def check(steps):
+        for first, windows, narrow, solves, J in steps:
+            assert windows[0] == first and J == windows[-1]
+            assert windows == [first * 2**i for i in range(len(windows))]
+            # every window that meets the rank rule is solved, and the first is accepted
+            assert solves == 1 and len(windows) == solves + narrow
+
+    @staticmethod
+    @contextlib.contextmanager
+    def recording():
+        """Each _core_member call as (rule's window, Gram windows, rank-rule
+        failures, solves, accepted J)."""
+        steps, active = [], []
+        member, window_gram = construction._core_member, construction.gram
+        full_rank, solve = construction._full_rank, np.linalg.solve
+
+        def core_member(m, reps, tol, what):
+            first = max(construction._minimal_truncation_index(m, tol / 2.0, ELL2), len(reps) + 1)
+            active.append([first, [], 0, 0])
+            out = member(m, reps, tol, what)
+            steps.append((*active.pop(), out[2]))
+            return out
+
+        def gram(vectors, J=0):
+            if active and J:
+                active[-1][1].append(J)
+            return window_gram(vectors, J)
+
+        def rank_rule(h):
+            held = full_rank(h)
+            if active and not held:
+                active[-1][2] += 1
+            return held
+
+        def counting_solve(*args):
+            if active:
+                active[-1][3] += 1
+            return solve(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(construction, "_core_member", core_member)
+            patch.setattr(construction, "gram", gram)
+            patch.setattr(construction, "_full_rank", rank_rule)
+            patch.setattr(np.linalg, "solve", counting_solve)
+            yield steps
 
 
 def test_dim_one_search_takes_one_window_svd(monkeypatch):
