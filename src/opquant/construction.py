@@ -157,10 +157,22 @@ def build_biorthogonal(
     return system
 
 
-def _form_norm(g: np.ndarray, a: np.ndarray) -> float:
-    """||sum a_i v_i||_2 from the Gram matrix g of the v_i."""
+def _form_norms(stack: np.ndarray, a: np.ndarray):
+    """||sum a_i v_i||_2 on each Gram matrix of a stack of v_i families, or on one matrix.
+
+    One batched product a^T G a over the leading a.size x a.size blocks;
+    a list for a stack, a float for one matrix.
+    """
     n = a.size
-    return math.sqrt(max(0.0, float(a @ g[:n, :n] @ a)))
+    return np.sqrt(np.maximum(a @ stack[..., :n, :n] @ a, 0.0)).tolist()
+
+
+def _coefficients(coeffs: Sequence[float], size: int) -> np.ndarray:
+    """The coefficients of a combination as a float array; ValueError if there are more than size."""
+    a = np.asarray(coeffs, dtype=np.float64)
+    if a.size > size:
+        raise ValueError(f"{a.size} coefficients for a system of {size}")
+    return a
 
 
 def check_coefficient_bound(
@@ -171,16 +183,15 @@ def check_coefficient_bound(
     For p = 2 the norm is the quadratic form on system.gram_m; for
     p in {1, inf} the combination is built and measured exactly.
     """
-    coeffs = [float(a) for a in w_coeffs]
-    if len(coeffs) > len(system):
-        raise ValueError(f"{len(coeffs)} coefficients for a system of {len(system)}")
-    if not coeffs or all(a == 0.0 for a in coeffs):
+    a = _coefficients(w_coeffs, len(system))
+    coeffs = a.tolist()
+    if not any(coeffs):
         return True, [0.0 for _ in coeffs]
     if system.space.p == 2:
-        nw = _form_norm(system.gram_m, np.array(coeffs))
+        nw = _form_norms(system.gram_m, a)
     else:
         nw = norm(linear_combine(coeffs, system.vectors[: len(coeffs)]), system.space)
-    margins = [2.0 ** (i - 1) * nw - abs(a) for i, a in enumerate(coeffs, start=1)]
+    margins = [2.0 ** (i - 1) * nw - abs(x) for i, x in enumerate(coeffs, start=1)]
     return all(m >= -INEQUALITY_SLACK for m in margins), margins
 
 
@@ -208,7 +219,10 @@ class CoreApproximation:
     under operator, the T of the build (the m_n have system.gram_m).  Each
     is built on first read.  The two defect Grams come from the exact d_n:
     expanding them through gram_z and gram_m (or their images) would lose
-    the 1e-9 inequality slack to cancellation.
+    the 1e-9 inequality slack to cancellation.  The per-combination checks
+    read _forms, the stack of gram_defects, gram_z, gram_m, gram_tz and
+    gram_tm, formed at their first call: every norm a check needs is one
+    batched quadratic form on it.
     """
 
     system: BiorthogonalSystem
@@ -225,18 +239,15 @@ class CoreApproximation:
     gram_tz = cached_property(lambda self: _image_gram(self.operator, self.z))
     gram_tm = cached_property(lambda self: _image_gram(self.operator, self.targets))
     gram_tdefects = cached_property(lambda self: _image_gram(self.operator, self.defects))
+    # verify_near_isometry reads the first three, verify_transfer_bounds the last four
+    _forms = cached_property(
+        lambda self: np.stack([self.gram_defects, self.gram_z, self.system.gram_m, self.gram_tz, self.gram_tm])
+    )
 
     @property
     def targets(self) -> tuple[TailVector, ...]:
         """Images A z_i = m_i."""
         return self.system.vectors
-
-
-def _combination(ca: CoreApproximation, coeffs: Sequence[float]) -> np.ndarray:
-    a = np.array(coeffs, dtype=np.float64)
-    if a.size > len(ca.z):
-        raise ValueError(f"{a.size} coefficients for {len(ca.z)} vectors")
-    return a
 
 
 def _image_gram(T: Operator, vectors: Sequence[TailVector]) -> np.ndarray:
@@ -246,30 +257,50 @@ def _image_gram(T: Operator, vectors: Sequence[TailVector]) -> np.ndarray:
 def _minimal_truncation_index(v: TailVector, target: float, space: SpaceConfig) -> int:
     """Smallest J with the exact discarded-tail norm of v at most target.
 
-    The tail past anchor + mP is exactly |r|^(mP) times the tail past the
-    anchor, so the first whole period under target has a closed form.
-    Against the exact remainder norm, the one truncate(v, J) returns, J
-    then steps up by whole periods while its tail is above target, and
-    back while the tail from the index before it also fits: at most
-    P - 1 steps, bar rounding in the closed form.
+    The tail past anchor + s + kP is exactly |r|^(kP) times the tail past
+    anchor + s, so each residue s of the period P has a closed-form first
+    index (_first_fitting_offset); J is the least of them.  Two probes of
+    the exact remainder norm, the one truncate(v, J) returns, confirm it:
+    the tail past J fits and the tail past J - 1 does not.  Should
+    rounding in the closed form miss by an index, J steps by single
+    indices until both hold.
     """
-    anchor, period = v.anchor, v.period
-
-    def rest(J: int) -> float:
-        return _remainder_norm(v, J, space)
-
-    start = rest(anchor)
-    if start <= target:
-        return anchor
-    if not target > 0.0:
-        raise BudgetInfeasible(f"no truncation of {v!r} reaches {target}")
-    shrink = period * math.log(abs(v.tail_ratio))
-    J = anchor + period * math.ceil((math.log(target) - math.log(start)) / shrink)
-    while rest(J) > target:
-        J += period
-    while rest(J - 1) <= target:
+    anchor = v.anchor
+    J = anchor if v.has_zero_tail or not target > 0.0 else anchor + _first_fitting_offset(v, target, space)
+    while not _remainder_norm(v, J, space) <= target:
+        if not target > 0.0:
+            raise BudgetInfeasible(f"no truncation of {v!r} reaches {target}")
+        J += 1
+    while J > anchor and _remainder_norm(v, J - 1, space) <= target:
         J -= 1
     return J
+
+
+def _first_fitting_offset(v: TailVector, target: float, space: SpaceConfig) -> int:
+    """Least d with the tail of v past anchor + d at most target > 0, in exact arithmetic.
+
+    In logs, with L_u = log |c_u r^u| for u < P: the tail past anchor + s
+    holds the terms u >= s of one period, then those u < s a period
+    later, and repeats scaled by q = |r|^P.  For p in {1, 2} its log norm
+    is a running log-sum-exp of p L_u, less log(1 - q^p) taken through
+    expm1 so that |r| near 1 keeps its digits, all over p; for p = inf it
+    is a running maximum of L_u.  Nothing underflows, and a zero
+    coefficient is a -inf term.
+    """
+    period, p = v.period, space.p
+    log_r = math.log(abs(v.tail_ratio))
+    log_q = period * log_r
+    e = 1.0 if p == math.inf else float(p)
+    running = np.maximum if p == math.inf else np.logaddexp
+    with np.errstate(divide="ignore"):
+        terms = e * (np.log(np.abs(v.tail_coeffs)) + log_r * np.arange(period))
+    later = running.accumulate(terms[::-1])[::-1]
+    wrapped = np.concatenate(([-np.inf], running.accumulate(terms)[:-1] + e * log_q))
+    log_tail = running(later, wrapped) / e
+    if p != math.inf:
+        log_tail -= math.log(-math.expm1(e * log_q)) / e
+    periods = np.ceil(np.maximum((math.log(target) - log_tail) / log_q, 0.0))
+    return int(np.min(np.arange(period) + period * periods))
 
 
 def _core_member(
@@ -345,13 +376,11 @@ def verify_near_isometry(
 
     defect: ||z - Az|| stays below eps * min{1, c/||T||} * ||Az||;
     distortion: (1-eps) ||Az|| <= ||z|| <= (1+eps) ||Az||.  The three
-    norms are quadratic forms on ca.gram_defects, ca.gram_z and
-    ca.system.gram_m.
+    norms are one batched quadratic form on ca.gram_defects, ca.gram_z
+    and ca.system.gram_m.
     """
-    a = _combination(ca, z_coeffs)
-    gap = _form_norm(ca.gram_defects, a)
-    z_norm = _form_norm(ca.gram_z, a)
-    az_norm = _form_norm(ca.system.gram_m, a)
+    a = _coefficients(z_coeffs, len(ca.z))
+    gap, z_norm, az_norm = _form_norms(ca._forms[:3], a)
     allowance = ca.epsilon * _budget_factor(ca.c, ca.T_norm) * az_norm
     defect_holds = gap <= allowance + INEQUALITY_SLACK
     lower = (1.0 - ca.epsilon) * az_norm
@@ -374,21 +403,23 @@ def verify_transfer_bounds(
     """Check that ||Tz||/||z|| brackets against the image-side ratio.
 
     lower: above (ratio(Az) - eps c)/(1+eps); upper: below
-    (ratio(Az) + eps c)/(1-eps).  Norms are quadratic forms on ca.gram_z
-    and ca.system.gram_m, and, when T is ca.operator, on ca.gram_tz and
-    ca.gram_tm; for any other T the image Gram matrices are built here.
+    (ratio(Az) + eps c)/(1-eps).  Norms are one batched quadratic form on
+    ca.gram_z, ca.system.gram_m and, when T is ca.operator, ca.gram_tz and
+    ca.gram_tm; for any other T the image Gram matrices are built here and
+    stacked the same way.
     """
-    a = _combination(ca, z_coeffs)
-    z_norm = _form_norm(ca.gram_z, a)
-    az_norm = _form_norm(ca.system.gram_m, a)
+    a = _coefficients(z_coeffs, len(ca.z))
+    if T is ca.operator:
+        forms = ca._forms[1:]
+    else:
+        n = a.size
+        images = (_image_gram(T, ca.z[:n]), _image_gram(T, ca.targets[:n]))
+        forms = np.stack([ca.gram_z[:n, :n], ca.system.gram_m[:n, :n], *images])
+    z_norm, az_norm, tz_norm, tm_norm = _form_norms(forms, a)
     if z_norm == 0.0 or az_norm == 0.0:
         raise ZeroVector("transfer ratios need a nonzero combination")
-    if T is ca.operator:
-        gram_tz, gram_tm = ca.gram_tz, ca.gram_tm
-    else:
-        gram_tz, gram_tm = _image_gram(T, ca.z[: a.size]), _image_gram(T, ca.targets[: a.size])
-    z_ratio = _form_norm(gram_tz, a) / z_norm
-    az_ratio = _form_norm(gram_tm, a) / az_norm
+    z_ratio = tz_norm / z_norm
+    az_ratio = tm_norm / az_norm
     lower_threshold = (az_ratio - ca.epsilon * ca.c) / (1.0 + ca.epsilon)
     upper_threshold = (az_ratio + ca.epsilon * ca.c) / (1.0 - ca.epsilon)
     lower_holds = z_ratio > lower_threshold - INEQUALITY_SLACK

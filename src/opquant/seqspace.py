@@ -10,6 +10,7 @@ MAX_PERIOD.  Values are immutable; operations are pure functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -261,9 +262,23 @@ def _series_weights(ru: float, rv: float, period: int) -> tuple[np.ndarray, floa
 
 
 def norm(v: TailVector, space: SpaceConfig = ELL2) -> float:
-    """Exact l^p norm from the closed-form prefix and tail sums."""
+    """Exact l^p norm from the closed-form prefix and tail sums.
+
+    An l^2 sum of squares below the normal range is taken again on the
+    prefix and first tail period scaled by a power of two, later periods
+    adding the geometric factor, so the norm of a nonzero vector whose
+    coordinates lie under about 1e-154 is not 0; the scaling is exact, and
+    every other norm keeps its bytes.
+    """
     if space.p == 2:
-        return math.sqrt(max(inner_product(v, v), 0.0))
+        total = inner_product(v, v)
+        if total < sys.float_info.min and not v.is_zero:
+            head = v.coords(v.anchor + v.period)
+            k = -math.frexp(float(np.max(np.abs(head))))[1]
+            prefix, period = np.split(np.ldexp(head, k), [v.anchor])
+            _, denominator = _series_weights(v.tail_ratio, v.tail_ratio, v.period)
+            return math.ldexp(math.sqrt(float(prefix @ prefix) + float(period @ period) / denominator), -k)
+        return math.sqrt(max(total, 0.0))
     if space.p == 1:
         total = float(np.sum(np.abs(v.prefix)))
         if not v.has_zero_tail:

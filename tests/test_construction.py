@@ -1,5 +1,6 @@
 """Tests for the biorthogonal build, core approximants, and experiments."""
 
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -46,7 +47,7 @@ from opquant import (
     verify_near_isometry,
     verify_transfer_bounds,
 )
-from opquant import construction
+from opquant import construction, operators, seqspace
 from opquant.construction import MAX_WINDOW, _minimal_truncation_index
 from opquant.errors import DegenerateBasis, DegenerateFunctionals
 from opquant.operators import _pencil_eigs, _restricted_eigs
@@ -333,6 +334,99 @@ class TestTruncationIndexScan:
             self.assert_matches_scan(TailVector(rng.standard_normal(int(rng.integers(0, 5))), rng.uniform(-2.0, 2.0, 3), ratio))
 
 
+def probing_truncation_index(v, target, space):
+    """The truncation index by the rule the per-residue closed form replaced.
+
+    One whole-period closed form from the tail past the anchor, whole
+    periods up while the exact tail is above target, then single indices
+    back while the tail from the index before also fits.
+    """
+    anchor, period = v.anchor, v.period
+    start = construction._remainder_norm(v, anchor, space)
+    if start <= target:
+        return anchor
+    if not target > 0.0:
+        raise BudgetInfeasible(f"no truncation of {v!r} reaches {target}")
+    J = anchor + period * math.ceil((math.log(target) - math.log(start)) / (period * math.log(abs(v.tail_ratio))))
+    while construction._remainder_norm(v, J, space) > target:
+        J += period
+    while construction._remainder_norm(v, J - 1, space) <= target:
+        J -= 1
+    return J
+
+
+@contextlib.contextmanager
+def counting_probes():
+    """Each _minimal_truncation_index call as its number of _remainder_norm calls."""
+    counts, probes = [], [0]
+    index, remainder = construction._minimal_truncation_index, construction._remainder_norm
+
+    def counting_index(*args):
+        probes[0] = 0
+        J = index(*args)
+        counts.append(probes[0])
+        return J
+
+    def counting_remainder(*args):
+        probes[0] += 1
+        return remainder(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construction, "_minimal_truncation_index", counting_index)
+        patch.setattr(construction, "_remainder_norm", counting_remainder)
+        yield counts
+
+
+class TestTruncationIndexClosedForm:
+    """The per-residue closed form returns the probing rule's J with two exact probes."""
+
+    @settings(max_examples=400)
+    @given(
+        prefix=st.lists(st.floats(-2.0, 2.0), max_size=4),
+        coeffs=st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=1, max_size=4),
+        ratio=st.one_of(st.sampled_from([1.3e-210, -1.3e-210, 1.0 - 1e-9, -(1.0 - 1e-9)]), st.floats(-0.9999, 0.9999)),
+        log_target=st.floats(-12.0, 0.0),
+        space=st.sampled_from([ELL1, ELL2, ELLINF]),
+    )
+    def test_matches_the_probing_rule(self, prefix, coeffs, ratio, log_target, space):
+        v = TailVector(prefix, coeffs, ratio)
+        target = 10.0**log_target
+        with counting_probes() as counts:
+            J = construction._minimal_truncation_index(v, target, space)
+        assert J == probing_truncation_index(v, target, space)
+        assert counts[0] <= 2
+
+    def test_two_probes_per_call(self):
+        with counting_probes() as counts:
+            for count in (1, 2, 3, 4):
+                functionals = sample_lemma_functionals(np.random.default_rng(900 + count), count)
+                assert check_dense_intersection(functionals, samples=25, tol=1e-8, seed=count)["passed"]
+            rng = np.random.default_rng(49)
+            for T in (ALT12, SHIFT, FRP):
+                M = sample_witness_subspace(rng, 4)
+                build_core_approximants(build_biorthogonal(M, M.dim), T, 0.01, 0.5)
+        assert len(counts) > 100 and max(counts) == 2
+
+    @pytest.mark.parametrize("space", [ELL1, ELL2, ELLINF])
+    def test_underflowing_period_factor(self, space):
+        # |r|^P and (for p = 2) the squared terms underflow to 0: the tail
+        # past the second tail coordinate reads exactly 0
+        for ratio in (1.3e-210, -1.3e-210, 1e-300):
+            for coeffs in ((1.0,), (0.0, 1.0), (1.0, 0.0, -2.0), (0.5, 0.0, 0.0, 3.0)):
+                v = TailVector((0.3, -1.0), coeffs, ratio)
+                for target in (1.0, 1e-12, 1e-250):
+                    assert _minimal_truncation_index(v, target, space) == scanned_truncation_index(v, target, space)
+
+    def test_targets_below_the_squared_range(self):
+        # the tail of 1, 1/2, 1/4, ... past J is 2^-J 2/sqrt(3) in l^2, read
+        # exactly below 1e-154, where its square leaves the normal range
+        v = TailVector((), (1.0,), 0.5)
+        for target in (1e-160, 1e-200, 1e-300):
+            J = _minimal_truncation_index(v, target, ELL2)
+            assert J == math.ceil(math.log2(2.0 / math.sqrt(3.0) / target))
+            assert truncate(v, J - 1)[1] > target >= truncate(v, J)[1] > 0.0
+
+
 class TestNearIsometry:
     def test_zero_gap_for_finite_system(self):
         system = build_biorthogonal(None, 3)
@@ -608,6 +702,61 @@ class TestGramKernel:
                     assert_same(transfer["az_ratio"], ref_U["Taz_norm"] / ref_U["az_norm"])
 
 
+class TestStackedForms:
+    """The per-combination checks read one cached stack of Gram matrices."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def counting_tail_arithmetic():
+        """The names of gram, apply, inner_product and np.stack calls, from every module that binds them."""
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in (
+                (construction, "gram"),
+                (construction, "apply"),
+                (seqspace, "gram"),
+                (seqspace, "inner_product"),
+                (operators, "apply"),
+                (np, "stack"),
+            ):
+                original = getattr(module, name)
+                patch.setattr(module, name, lambda *args, _f=original, _name=name: calls.append(_name) or _f(*args))
+            yield calls
+
+    def test_checks_reuse_the_stack(self):
+        system = build_biorthogonal(odd_coordinate_witness(3, 0.9), 3)
+        ca = build_core_approximants(system, SHIFT, 0.1, 1.0)
+        with self.counting_tail_arithmetic() as calls:
+            verify_transfer_bounds(ca, SHIFT, [1.0, -0.5, 0.25])
+        assert {"apply", "gram", "stack"} <= set(calls)
+        rng = np.random.default_rng(50)
+        with self.counting_tail_arithmetic() as calls:
+            for _ in range(200):
+                coeffs = rng.uniform(-1.0, 1.0, int(rng.integers(1, 4)))
+                assert check_coefficient_bound(system, coeffs)[0]
+                assert all(verify_near_isometry(ca, coeffs)[:2])
+                assert all(verify_transfer_bounds(ca, SHIFT, coeffs)[:2])
+        assert calls == []
+
+    def test_zero_combination_rejected_on_either_path(self, tail_ca):
+        for T in (tail_ca.operator, SHIFT):
+            with pytest.raises(ZeroVector):
+                verify_transfer_bounds(tail_ca, T, [0.0, 0.0])
+            with pytest.raises(ZeroVector):
+                verify_transfer_bounds(tail_ca, T, [])
+
+    def test_too_many_coefficients(self, tail_ca):
+        coeffs = [1.0, 0.5, -0.5, 2.0]
+        for check in (
+            lambda: check_coefficient_bound(tail_ca.system, coeffs),
+            lambda: verify_near_isometry(tail_ca, coeffs),
+            lambda: verify_transfer_bounds(tail_ca, tail_ca.operator, coeffs),
+            lambda: verify_transfer_bounds(tail_ca, SHIFT, coeffs),
+        ):
+            with pytest.raises(ValueError, match="^4 coefficients for a system of 3$"):
+                check()
+
+
 class TestDenseIntersection:
     def test_single_coordinate_functional(self):
         f = functional_from_representer(unit_vector(1), ELL2)
@@ -650,12 +799,13 @@ class TestDenseIntersection:
         assert report["passed"] and len(calls) == 99
 
     def test_window_cap(self, monkeypatch):
-        # at tol = 1e-300 the first window is 542, where the squared tail of
-        # the sample underflows; the rounding in its pairings keeps the
-        # closed-form distance above tol, so the window doubles past the cap
+        # at tol = 1e-300 the first window is 1002, the least whose tail of
+        # the sample (2.8e-301) is at most tol/2; the rounding in its
+        # pairings keeps the closed-form distance above tol, so the window
+        # doubles past the cap
         monkeypatch.setattr(construction, "MAX_WINDOW", 2**12)
         f = functional_from_representer(TailVector((1.0,), (1.0,), 0.5), ELL2)
-        with pytest.raises(BudgetInfeasible, match="lemma sample 0 needs a window of 4336"):
+        with pytest.raises(BudgetInfeasible, match="lemma sample 0 needs a window of 8016"):
             check_dense_intersection([f], samples=1, tol=1e-300, seed=0)
 
     def test_dependent_functionals_rejected(self):

@@ -251,6 +251,7 @@ RATIOS = st.builds(
 )
 # no coefficient so small that a product of two underflows
 COEFFS = st.lists(st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) > 1e-3), min_size=1, max_size=4)
+PREFIX = st.lists(st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) > 1e-3), max_size=3)
 
 
 class TestGeometricDenominators:
@@ -300,6 +301,35 @@ class TestGeometricDenominators:
             ctx.prec = 50
             reference, _ = _decimal_tail_sum([abs(Decimal(c)) for c in coeffs], abs(Decimal(r)))
             assert abs(Decimal(norm(TailVector((), coeffs, r), ELL1)) - reference) <= Decimal("1e-14") * reference
+
+
+class TestNormBelowTheSquaredRange:
+    """l^2 norms whose sum of squares falls below the normal range."""
+
+    def test_remainder_of_a_geometric_tail(self):
+        # past 540 the tail of 1, 1, 1/2, 1/4, ... is 2^-539 / sqrt(3/4), about 6e-163
+        v = TailVector((1.0,), (1.0,), 0.5)
+        assert _remainder_norm(v, 540, ELL2) == pytest.approx(2.0**-539 / math.sqrt(0.75), rel=1e-14)
+
+    def test_squared_ratio_underflows(self):
+        # r^2 underflows, so the unscaled sum reads the coordinate r as 0
+        assert norm(TailVector((), (0.0, 1.0), 1.3e-210)) == pytest.approx(1.3e-210, rel=1e-14)
+        assert norm(TailVector((1e-320,))) == 1e-320
+        assert norm(TailVector((), (1e-200,), 1e-200)) == pytest.approx(1e-200, rel=1e-14)
+
+    @settings(max_examples=200)
+    @given(PREFIX, COEFFS, RATIOS, st.integers(-900, -520))
+    def test_scaled_by_a_power_of_two(self, prefix, coeffs, r, k):
+        v = TailVector(prefix, coeffs, r)
+        tiny = TailVector(np.ldexp(v.prefix, k), np.ldexp(v.tail_coeffs, k), v.tail_ratio)
+        assert norm(tiny) == pytest.approx(math.ldexp(norm(v), k), rel=1e-13)
+        assert (norm(tiny) > 0.0) == (not v.is_zero)
+
+    @settings(max_examples=200)
+    @given(PREFIX, COEFFS, RATIOS)
+    def test_normal_range_keeps_its_bytes(self, prefix, coeffs, r):
+        v = TailVector(prefix, coeffs, r)
+        assert norm(v) == math.sqrt(max(inner_product(v, v), 0.0))
 
 
 class TestPairingAndNorming:
