@@ -147,9 +147,9 @@ def build_biorthogonal(
     functionals: list[LinearFunctional] = []
     for b in basis[:count]:
         w = _kernel_step(b, zip(vectors, functionals))
-        if norm(w, space) <= DEGENERATE_PROJECTION * norm(b, space):
+        if (size := norm(w, space)) <= DEGENERATE_PROJECTION * norm(b, space):
             raise ExhaustedSubspace("kernel intersection vector degenerated")
-        m = scaled(w, 1.0 / norm(w, space))
+        m = scaled(w, 1.0 / size)
         vectors.append(m)
         functionals.append(norming_functional(m, space))
     system = BiorthogonalSystem(tuple(vectors), tuple(functionals), space, gram(vectors))

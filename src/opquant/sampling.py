@@ -1,9 +1,10 @@
 """Seeded generators for vectors, witnesses, and functional families.
 
 Everything here is deterministic in the supplied generator.  Families that
-will be combined share a single tail ratio, since exact arithmetic refuses to
-mix distinct geometric ratios (a mixed family's Gram matrix still works); the
-samplers draw it as a modulus in [0.2, 0.8) with a random sign.  A lemma
+will be combined share a single tail ratio, since a linear combination
+refuses to mix distinct geometric ratios (inner products and Gram matrices
+pair any ratios); the samplers draw it as a modulus in [0.2, 0.8) with a
+random sign.  A lemma
 family holds at most six representers, the most that can be independent.
 """
 

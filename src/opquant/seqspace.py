@@ -10,7 +10,6 @@ MAX_PERIOD.  Values are immutable; operations are pure functions.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -136,11 +135,7 @@ class TailVector:
         j = min(self.anchor, n)
         out[:j] = self.prefix[:j]
         if n > self.anchor and not self.has_zero_tail:
-            t = np.arange(n - self.anchor)
-            # float exponents route through the same libm pow as coordinate()
-            out[self.anchor:] = self.tail_coeffs[t % self.period] * np.float64(
-                self.tail_ratio
-            ) ** t.astype(np.float64)
+            out[self.anchor:] = _tail_row(self, self.anchor, n - self.anchor)
         return out
 
     def equals(self, other: "TailVector") -> bool:
@@ -194,6 +189,22 @@ def _common_period(*periods: int) -> int:
     return period
 
 
+def _tail_row(v: TailVector, anchor: int, length: int) -> np.ndarray:
+    """Coordinates anchor + 1 .. anchor + length of v, for anchor >= v.anchor: c_t r^t."""
+    if v.has_zero_tail:
+        return np.zeros(length)
+    t = np.arange(anchor - v.anchor, anchor - v.anchor + length)
+    # float exponents route through the same libm pow as coordinate()
+    return v.tail_coeffs[t % v.period] * np.float64(v.tail_ratio) ** t.astype(np.float64)
+
+
+def _tail_denominator(ru: float, rv: float, period: int) -> float:
+    """1 - (ru rv)^period: two tails pair as the dot of their first common periods over it."""
+    power = (ru * rv) ** period
+    # when 1 - rho^P cancels, rho = ru rv is rounded: take rho^P from the exact ratios' logs
+    return -math.expm1(period * (math.log(abs(ru)) + math.log(abs(rv)))) if power > 0.5 else 1.0 - power
+
+
 def _realigned_tail(v: TailVector, anchor: int, period: int) -> np.ndarray:
     """Tail coefficients of v re-anchored at `anchor` with period `period`.
 
@@ -239,51 +250,40 @@ def scaled(v: TailVector, alpha: float) -> TailVector:
 
 
 def inner_product(u: TailVector, v: TailVector) -> float:
-    """sum_j u_j v_j in closed form (head dot plus geometric tail series)."""
+    """sum_j u_j v_j in closed form: the head dot plus the tails' first common
+    period, paired as coords reads it, over 1 - (r_u r_v)^P."""
     anchor = max(u.anchor, v.anchor)
     total = float(np.dot(u.coords(anchor), v.coords(anchor))) if anchor else 0.0
     if u.has_zero_tail or v.has_zero_tail:
         return total
     period = _common_period(u.period, v.period)
-    cu = _realigned_tail(u, anchor, period)
-    cv = _realigned_tail(v, anchor, period)
-    powers, denominator = _series_weights(u.tail_ratio, v.tail_ratio, period)
-    total += float(np.dot(cu * cv, powers)) / denominator
-    return total
-
-
-def _series_weights(ru: float, rv: float, period: int) -> tuple[np.ndarray, float]:
-    """rho^s for s < period and 1 - rho^period, rho = ru rv: tails pair as sum_s cu_s cv_s rho^s / (1 - rho^P)."""
-    rho = ru * rv
-    power = rho**period
-    # when 1 - rho^P cancels, rho is rounded: take rho^P from the exact ratios' logs
-    denominator = -math.expm1(period * (math.log(abs(ru)) + math.log(abs(rv)))) if power > 0.5 else 1.0 - power
-    return rho ** np.arange(period), denominator
+    tail = float(np.dot(_tail_row(u, anchor, period), _tail_row(v, anchor, period)))
+    return total + tail / _tail_denominator(u.tail_ratio, v.tail_ratio, period)
 
 
 def norm(v: TailVector, space: SpaceConfig = ELL2) -> float:
     """Exact l^p norm from the closed-form prefix and tail sums.
 
-    An l^2 sum of squares below the normal range is taken again on the
-    prefix and first tail period scaled by a power of two, later periods
-    adding the geometric factor, so the norm of a nonzero vector whose
-    coordinates lie under about 1e-154 is not 0; the scaling is exact, and
-    every other norm keeps its bytes.
+    The l^2 norm is inner_product(v, v) taken on the prefix and first tail
+    period scaled by the power of two of their largest entry, so it keeps
+    inner_product's bytes in the normal range and a nonzero vector whose
+    coordinates lie under about 1e-154 does not read as 0.
     """
     if space.p == 2:
-        total = inner_product(v, v)
-        if total < sys.float_info.min and not v.is_zero:
-            head = v.coords(v.anchor + v.period)
-            k = -math.frexp(float(np.max(np.abs(head))))[1]
-            prefix, period = np.split(np.ldexp(head, k), [v.anchor])
-            _, denominator = _series_weights(v.tail_ratio, v.tail_ratio, v.period)
-            return math.ldexp(math.sqrt(float(prefix @ prefix) + float(period @ period) / denominator), -k)
-        return math.sqrt(max(total, 0.0))
+        x = np.concatenate((v.prefix, _tail_row(v, v.anchor, v.period)))
+        k = -math.frexp(float(np.abs(x).max()))[1]
+        x = np.ldexp(x, k)
+        head, tail = x[:v.anchor], x[v.anchor:]
+        total = float(np.dot(head, head)) + float(np.dot(tail, tail)) / _tail_denominator(
+            v.tail_ratio, v.tail_ratio, v.period
+        )
+        return math.ldexp(math.sqrt(total), -k)
     if space.p == 1:
         total = float(np.sum(np.abs(v.prefix)))
         if not v.has_zero_tail:
-            powers, denominator = _series_weights(abs(v.tail_ratio), 1.0, v.period)
-            total += float(np.dot(np.abs(v.tail_coeffs), powers)) / denominator
+            r = abs(v.tail_ratio)
+            powers = r ** np.arange(v.period)
+            total += float(np.dot(np.abs(v.tail_coeffs), powers)) / _tail_denominator(r, 1.0, v.period)
         return total
     # p = inf: tail terms |c_s| |r|^(s + m*P) are largest at m = 0
     best = float(np.max(np.abs(v.prefix))) if v.prefix.size else 0.0
@@ -412,26 +412,23 @@ def _remainder_norm(v: TailVector, J: int, space: SpaceConfig) -> float:
 def gram(vectors: Sequence[TailVector], J: int = 0) -> np.ndarray:
     """l^2 Gram matrix of the coordinates past J >= 0 of a family of tail vectors.
 
-    Coordinates J + 1 .. the largest anchor are read densely, the rest as
-    one geometric series per residue of the common period.  A family that
-    mixes tail ratios is paired one inner product at a time at J = 0 and
-    raises IncompatibleTails past J > 0.
+    Coordinates J + 1 .. the largest anchor A are read densely.  Past
+    max(A, J) each vector's first common tail period is one row of w, read
+    as coords reads it, and entry (i, j) adds w_i . w_j / (1 - (r_i r_j)^P),
+    one denominator per pair of ratios, so a family that mixes ratios is
+    paired the same way at every J.
     """
     n = len(vectors)
-    ratios = {v.tail_ratio for v in vectors if not v.has_zero_tail}
-    if len(ratios) > 1:
-        if J:
-            raise IncompatibleTails(f"the Gram past {J} needs one tail ratio, got {sorted(ratios)}")
-        return np.array([[inner_product(u, v) for v in vectors] for u in vectors])
     top = max((v.anchor for v in vectors), default=0)
     head = np.array([v.coords(top)[J:] for v in vectors]).reshape(n, max(top - J, 0))  # coordinates J + 1 .. top
     g = head @ head.T
-    if ratios:
-        (ratio,) = ratios
-        period = _common_period(*(v.period for v in vectors if not v.has_zero_tail))
-        powers, denominator = _series_weights(ratio, ratio, period)
-        w = np.array([_realigned_tail(v, max(top, J), period) for v in vectors]) * np.sqrt(powers)
-        g += w @ w.T / denominator
+    if periods := [v.period for v in vectors if not v.has_zero_tail]:
+        period = _common_period(*periods)
+        w = np.array([_tail_row(v, max(top, J), period) for v in vectors])
+        ratios = sorted({v.tail_ratio for v in vectors})
+        pairs = np.array([[_tail_denominator(a, b, period) for b in ratios] for a in ratios])
+        index = [ratios.index(v.tail_ratio) for v in vectors]
+        g += w @ w.T / pairs.take(index, 0).take(index, 1)
     return g
 
 

@@ -636,6 +636,21 @@ class TestCommandLine:
         assert (result.returncode, result.stdout) == (2, "")
         assert "need a common period of 13710311357, above the cap of 1048576" in result.stderr
 
+    def test_run_exit_zero_on_large_coefficients_over_tiny_ratios(self, tmp_path):
+        # c = 1e200 on r = 1e-200: every coordinate c r^t is in range, though
+        # c^2 overflows and r^2 underflows
+        witness = [
+            {"prefix": [1.0], "tail_coeffs": [0.0, 1e200], "tail_ratio": 1e-200},
+            {"prefix": [0.0, 1.0], "tail_coeffs": [0.0, 3e200], "tail_ratio": 1e-200},
+        ]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(with_params(INVARIANCE_99, part="Gamma", delta=0.1, witness=witness)))
+        result = cli("run", "--config", str(path))
+        assert (result.returncode, result.stderr) == (0, "")
+        (case,) = json.loads(result.stdout)["results"]
+        assert case["passed"]
+        assert case["measured"]["witness_quantity"] == pytest.approx(2.0, abs=1e-12)
+
     def test_sub_basis_samples_changes_no_report_byte(self, tmp_path):
         # accepted and ignored: the certificate covers every sub-basis
         outputs = []

@@ -35,7 +35,7 @@ from opquant import (
 from opquant import seqspace
 from opquant.operators import Diagonal, apply
 from opquant.sampling import sample_lemma_functionals
-from opquant.seqspace import _remainder_norm
+from opquant.seqspace import _remainder_norm, _tail_row
 
 E1 = unit_vector(1)
 E2 = unit_vector(2)
@@ -254,6 +254,19 @@ COEFFS = st.lists(st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) > 1e-
 PREFIX = st.lists(st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) > 1e-3), max_size=3)
 
 
+@st.composite
+def tails(draw):
+    """(coefficients, ratio) as above, or a ratio r down to 2^-251 with coefficients
+    c_s = x_s / r^s for x_s as above scaled by 2^e, |e| <= 250: c^2 may overflow
+    and (r_u r_v)^3 underflows, while every coordinate c_s r^s stays near x_s."""
+    coeffs, ratio = draw(COEFFS), draw(RATIOS)
+    if draw(st.booleans()):
+        ratio = math.copysign(math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), -draw(st.integers(1, 250))), ratio)
+        e = draw(st.integers(-250, 250))
+        coeffs = [math.ldexp(x, e) / ratio**s for s, x in enumerate(coeffs)]
+    return coeffs, ratio
+
+
 class TestGeometricDenominators:
     """Tail sums near |r| = 1 against a 50-digit decimal reference."""
 
@@ -267,8 +280,11 @@ class TestGeometricDenominators:
             assert abs(Decimal(inner_product(v, v)) - reference) <= Decimal("1e-15") * reference
 
     @settings(max_examples=300)
-    @given(COEFFS, RATIOS, COEFFS, RATIOS)
-    def test_inner_product(self, cu, ru, cv, rv):
+    @given(tails(), tails())
+    def test_inner_product(self, tu, tv):
+        """inner_product, the l^2 norm and gram against the reference, coefficients
+        up to 2^1003 on ratios down to 2^-251 included."""
+        (cu, ru), (cv, rv) = tu, tv
         u, v = TailVector((), cu, ru), TailVector((), cv, rv)
         P = math.lcm(len(cu), len(cv))
         with localcontext() as ctx:
@@ -276,8 +292,10 @@ class TestGeometricDenominators:
             terms = [Decimal(cu[s % len(cu)]) * Decimal(cv[s % len(cv)]) for s in range(P)]
             reference, scale = _decimal_tail_sum(terms, Decimal(ru) * Decimal(rv))
             assert abs(Decimal(inner_product(u, v)) - reference) <= Decimal("1e-14") * scale
+            assert abs(Decimal(gram([u, v])[0, 1]) - reference) <= Decimal("1e-14") * scale
             squares, _ = _decimal_tail_sum([Decimal(c) ** 2 for c in cu], Decimal(ru) ** 2)
             assert abs(Decimal(norm(u) ** 2) - squares) <= Decimal("1e-14") * squares
+            assert abs(Decimal(gram([u, v])[0, 0]) - squares) <= Decimal("1e-14") * squares
 
     @settings(max_examples=300)
     @given(st.lists(st.floats(-1.0, 1.0), max_size=3), COEFFS, RATIOS)
@@ -295,8 +313,9 @@ class TestGeometricDenominators:
         assert norm(v, ELL1) == total
 
     @settings(max_examples=300)
-    @given(COEFFS, RATIOS)
-    def test_ell1_norm(self, coeffs, r):
+    @given(tails())
+    def test_ell1_norm(self, tail):
+        coeffs, r = tail
         with localcontext() as ctx:
             ctx.prec = 50
             reference, _ = _decimal_tail_sum([abs(Decimal(c)) for c in coeffs], abs(Decimal(r)))
@@ -494,17 +513,22 @@ class TestTruncate:
                 if J >= v.anchor:
                     assert gram([v], J)[0, 0] == pytest.approx(_remainder_norm(v, J, ELL2) ** 2, rel=1e-13, abs=1e-300)
 
-    def test_tail_gram_needs_one_ratio(self):
-        """A family that mixes tail ratios is the pairwise matrix, bit for bit, at
-        J = 0; past J > 0 it raises."""
+    def test_tail_gram_mixes_ratios(self):
+        """A family that mixes tail ratios is paired in one matrix at every J:
+        the pairwise matrix at J = 0, and the dense Gram of the coordinates
+        past J, both to 1e-13."""
         rng = np.random.default_rng(10)
         for _ in range(50):
             mixed = [TailVector((1.0,), (1.0,), 0.5), TailVector((), (1.0,), 0.25)]
             vs = [random_tail_vector(rng) for _ in range(4)] + mixed
-            np.testing.assert_array_equal(gram(vs), _pairwise_gram(vs))
-        for J in (1, 3):
-            with pytest.raises(IncompatibleTails, match="one tail ratio"):
-                gram([TailVector((), (1.0,), 0.5), TailVector((), (1.0,), 0.25)], J)
+            g = gram(vs)
+            scale = np.sqrt(np.outer(np.diag(g), np.diag(g)))
+            assert np.all(np.abs(g - _pairwise_gram(vs)) <= 1e-13 * scale)
+            for J in (1, 3, 8):
+                dense = np.array([v.coords(J + 600)[J:] for v in vs])
+                g = gram(vs, J)
+                scale = np.sqrt(np.outer(np.diag(g), np.diag(g)))
+                assert np.all(np.abs(g - dense @ dense.T) <= 1e-13 * scale)
 
 
 def _pairwise_gram(vectors):
@@ -569,3 +593,50 @@ class TestGram:
         vs = [random_tail_vector(rng) for _ in range(5)]
         g = gram(vs)
         np.testing.assert_array_equal(g, g.T)
+
+
+@st.composite
+def mixed_ratio_families(draw):
+    """1-5 vectors over up to three tail ratios, some with zero tails, anchors up
+    to 20, periods 1-4, and J up to 10 past the anchors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ratios = draw(st.lists(st.floats(0.1, 0.9).map(lambda r: r * rng.choice((1.0, -1.0))), min_size=1, max_size=3))
+    vectors = []
+    for zero_tail in draw(st.lists(st.booleans(), min_size=1, max_size=5)):
+        prefix = rng.standard_normal(draw(st.integers(0, 20)))
+        coeffs = (0.0,) if zero_tail else rng.standard_normal(draw(st.integers(1, 4)))
+        vectors.append(TailVector(prefix, coeffs, draw(st.sampled_from(ratios))))
+    return vectors, draw(st.integers(0, max(v.anchor for v in vectors) + 10))
+
+
+class TestOneClosedForm:
+    """inner_product, the l^2 norm and gram pair the coordinates coords returns."""
+
+    def test_large_coefficient_over_a_tiny_ratio(self):
+        # coordinates 0, 1, 0, 0, ...: c^2 overflows and r^2 underflows
+        v = TailVector((), (0.0, 1e200), 1e-200)
+        assert norm(v) == inner_product(v, v) == gram([v])[0, 0] == 1.0
+
+    @settings(max_examples=200)
+    @given(mixed_ratio_families())
+    def test_mixed_ratio_family_past_J(self, family):
+        """The Gram past J is the dense Gram of the coordinates past J; at J = 0 it
+        is the pairwise inner products and its diagonal the squared norms, all to
+        1e-13 of sqrt(g_ii g_jj)."""
+        vectors, J = family
+        g = gram(vectors, J)
+        scale = np.sqrt(np.outer(np.diag(g), np.diag(g)))
+        dense = np.array([v.coords(J + 600)[J:] for v in vectors])
+        assert np.all(np.abs(g - dense @ dense.T) <= 1e-13 * scale)
+        np.testing.assert_array_equal(g, g.T)
+        if J == 0:
+            assert np.all(np.abs(g - _pairwise_gram(vectors)) <= 1e-13 * scale)
+            squares = np.array([norm(v) ** 2 for v in vectors])
+            assert np.all(np.abs(squares - np.diag(g)) <= 1e-13 * np.diag(g))
+
+    @settings(max_examples=200)
+    @given(PREFIX, COEFFS, RATIOS, st.integers(0, 50), st.integers(1, 12))
+    def test_tail_row_is_coords(self, prefix, coeffs, r, past, length):
+        v = TailVector(prefix, coeffs, r)
+        a = v.anchor + past
+        np.testing.assert_array_equal(_tail_row(v, a, length), v.coords(a + length)[a:])
