@@ -160,8 +160,6 @@ def _apply_diagonal(T: _WeightLayout, v: TailVector) -> TailVector:
     d = T.prefix_values.size
     anchor = max(v.anchor, d)
     head = v.coords(anchor) * T.entries(anchor)
-    if v.has_zero_tail:
-        return TailVector(head)
     period = _common_period(v.period, T.periodic_values.size)
     coeffs = _realigned_tail(v, anchor, period)
     didx = (anchor - d + np.arange(period)) % T.periodic_values.size

@@ -1,10 +1,9 @@
 """Exact arithmetic for sequence-space vectors with geometric tails.
 
-Vectors live in l^p (p in {1, 2, inf}) and are stored as a finite prefix
-plus a periodically modulated geometric tail, so norms, inner products and
-dual pairings all reduce to finite sums of geometric series, and one routine,
-gram, forms every l^2 Gram matrix.  Every common period passes one cap,
-MAX_PERIOD.  Values are immutable; operations are pure functions.
+Vectors live in l^p (p in {1, 2, inf}) as a finite prefix plus a periodically
+modulated geometric tail, so norms and pairings are finite sums of geometric
+series: one routine, _remainder_norm, takes every l^p norm past any J (norm is
+J = 0) and gram every l^2 Gram matrix and pairing family; MAX_PERIOD caps periods.
 """
 
 from __future__ import annotations
@@ -55,10 +54,9 @@ ELLINF = SpaceConfig(math.inf)
 
 
 def _as_readonly_array(values: Iterable[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional list of coordinates")
-    arr = np.array(arr, copy=True)
     arr.setflags(write=False)
     return arr
 
@@ -122,12 +120,10 @@ class TailVector:
         return self.has_zero_tail and self.prefix.size == 0
 
     def coordinate(self, j: int) -> float:
+        """Coordinate j >= 1; past the prefix the one-entry row _tail_row, as coords reads it."""
         if j < 1:
             raise IndexError("coordinates are 1-based")
-        if j <= self.anchor:
-            return float(self.prefix[j - 1])
-        t = j - self.anchor - 1
-        return float(self.tail_coeffs[t % self.period] * self.tail_ratio**t)
+        return float(self.prefix[j - 1] if j <= self.anchor else _tail_row(self, j - 1, 1)[0])
 
     def coords(self, n: int) -> np.ndarray:
         """Materialize coordinates 1..n as a dense array."""
@@ -191,11 +187,25 @@ def _common_period(*periods: int) -> int:
 
 def _tail_row(v: TailVector, anchor: int, length: int) -> np.ndarray:
     """Coordinates anchor + 1 .. anchor + length of v, for anchor >= v.anchor: c_t r^t."""
-    if v.has_zero_tail:
-        return np.zeros(length)
-    t = np.arange(anchor - v.anchor, anchor - v.anchor + length)
-    # float exponents route through the same libm pow as coordinate()
-    return v.tail_coeffs[t % v.period] * np.float64(v.tail_ratio) ** t.astype(np.float64)
+    t = np.arange(d := anchor - v.anchor, d + length)
+    return _times_power(v.tail_coeffs[t % v.period], v.tail_ratio, t.astype(np.float64))
+
+
+def _times_power(c: np.ndarray, r: float, t) -> np.ndarray:
+    """c r^t for |r| < 1 (0 for a zero tail) and t >= 0, an int or an increasing float array.
+
+    Below the normal range c takes r^(t mod k), then t div k factors r^k, k
+    the largest power with r^k normal: a normal c r^t keeps its digits, and as
+    (r^k)^2 <= r^(k+1) < 2^-1022, five factors reach 0."""
+    power = r**t
+    if r == 0.0 or not abs(power[-1] if isinstance(t, np.ndarray) else power) < 2.0**-1022:
+        return c * power
+    k = max(1, int(math.log(2.0**-1022) / math.log(abs(r))))
+    q, s = np.divmod(t, k)
+    x = c * r**s
+    for i in range(min(int(np.max(q)), 5)):
+        x = np.where(q > i, x * r**k, x)
+    return np.where(np.abs(power) < 2.0**-1022, x, c * power)
 
 
 def _tail_denominator(ru: float, rv: float, period: int) -> float:
@@ -210,11 +220,8 @@ def _realigned_tail(v: TailVector, anchor: int, period: int) -> np.ndarray:
 
     Requires anchor >= v.anchor and period a multiple of v.period.
     """
-    if v.has_zero_tail:
-        return np.zeros(period)
     d = anchor - v.anchor
-    s = np.arange(period)
-    return v.tail_coeffs[(s + d) % v.period] * v.tail_ratio**d
+    return _times_power(v.tail_coeffs[(np.arange(period) + d) % v.period], v.tail_ratio, d)
 
 
 def linear_combine(coeffs: Sequence[float], vectors: Sequence[TailVector]) -> TailVector:
@@ -230,19 +237,13 @@ def linear_combine(coeffs: Sequence[float], vectors: Sequence[TailVector]) -> Ta
     if len(ratios) > 1:
         raise IncompatibleTails(f"tails with distinct ratios {sorted(ratios)} cannot be combined")
     anchor = max(v.anchor for v in vectors)
-    prefix = np.zeros(anchor)
+    period = _common_period(*(v.period for v in vectors if not v.has_zero_tail))
+    prefix, tail = np.zeros(anchor), np.zeros(period)
     for a, v in zip(coeffs, vectors):
         if a != 0.0:
             prefix += float(a) * v.coords(anchor)
-    if not ratios:
-        return TailVector(prefix)
-    ratio = ratios.pop()
-    period = _common_period(*(v.period for v in vectors if not v.has_zero_tail))
-    tail = np.zeros(period)
-    for a, v in zip(coeffs, vectors):
-        if a != 0.0 and not v.has_zero_tail:
             tail += float(a) * _realigned_tail(v, anchor, period)
-    return TailVector(prefix, tail, ratio)
+    return TailVector(prefix, tail, ratios.pop() if ratios else 0.0)
 
 
 def scaled(v: TailVector, alpha: float) -> TailVector:
@@ -262,35 +263,37 @@ def inner_product(u: TailVector, v: TailVector) -> float:
 
 
 def norm(v: TailVector, space: SpaceConfig = ELL2) -> float:
-    """Exact l^p norm from the closed-form prefix and tail sums.
+    """Exact l^p norm: the remainder norm past J = 0."""
+    return _remainder_norm(v, 0, space)
 
-    The l^2 norm is inner_product(v, v) taken on the prefix and first tail
-    period scaled by the power of two of their largest entry, so it keeps
-    inner_product's bytes in the normal range and a nonzero vector whose
-    coordinates lie under about 1e-154 does not read as 0.
-    """
-    if space.p == 2:
-        x = np.concatenate((v.prefix, _tail_row(v, v.anchor, v.period)))
-        k = -math.frexp(float(np.abs(x).max()))[1]
-        x = np.ldexp(x, k)
-        head, tail = x[:v.anchor], x[v.anchor:]
-        total = float(np.dot(head, head)) + float(np.dot(tail, tail)) / _tail_denominator(
-            v.tail_ratio, v.tail_ratio, v.period
-        )
-        return math.ldexp(math.sqrt(total), -k)
+
+def _remainder_norm(v: TailVector, J: int, space: SpaceConfig) -> float:
+    """Exact l^p norm of the coordinates of v past J >= 0; norm is J = 0.
+
+    Coordinates J + 1 .. anchor are read densely, then one tail period past
+    max(J, anchor) over the series denominator: for p = 1 the realigned
+    |coefficients| dotted with |r|^s; for 2 and inf the row as coords reads
+    it (none for a zero tail), the l^2 sum scaled by a power of two so no
+    nonzero norm reads 0 and otherwise added as inner_product adds it."""
+    head, past = v.prefix[J:], max(J, v.anchor)
     if space.p == 1:
-        total = float(np.sum(np.abs(v.prefix)))
+        total = float(np.sum(np.abs(head)))
         if not v.has_zero_tail:
             r = abs(v.tail_ratio)
-            powers = r ** np.arange(v.period)
-            total += float(np.dot(np.abs(v.tail_coeffs), powers)) / _tail_denominator(r, 1.0, v.period)
+            coeffs = np.abs(_realigned_tail(v, past, v.period))
+            total += float(np.dot(coeffs, r ** np.arange(v.period))) / _tail_denominator(r, 1.0, v.period)
         return total
-    # p = inf: tail terms |c_s| |r|^(s + m*P) are largest at m = 0
-    best = float(np.max(np.abs(v.prefix))) if v.prefix.size else 0.0
-    if not v.has_zero_tail:
-        r = abs(v.tail_ratio)
-        best = max(best, float(np.max(np.abs(v.tail_coeffs) * r ** np.arange(v.period))))
-    return best
+    x = head if v.has_zero_tail else np.concatenate((head, _tail_row(v, past, v.period)))
+    top = float(np.abs(x).max(initial=0.0))
+    if space.p == math.inf:
+        return top
+    k = -math.frexp(top)[1]
+    x = np.ldexp(x, k)
+    head, row = x[: head.size], x[head.size :]
+    total = float(np.dot(head, head))
+    if row.size:
+        total += float(np.dot(row, row)) / _tail_denominator(v.tail_ratio, v.tail_ratio, v.period)
+    return math.ldexp(math.sqrt(total), -k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,14 +385,15 @@ def project_into_kernels(
 
 
 def _project_off(v: TailVector, reps: Sequence[TailVector], g: np.ndarray) -> TailVector:
-    """v minus its orthogonal projection onto span(reps), whose Gram matrix is g."""
+    """v minus its orthogonal projection onto span(reps), whose Gram matrix is g.
+
+    The pairings <r_i, result> are one column of the Gram of reps and result.
+    It is done once each is within 1e-15 ||v|| ||r_i||, a floor relative to
+    both scales; one refinement pass guards against mild ill-conditioning."""
     result = v
-    # done once every |<r_i, result>| is within 1e-15 ||v|| ||r_i||, a floor
-    # relative to both scales; one refinement pass guards against mild
-    # ill-conditioning
     floor = 1e-15 * norm(v) * np.sqrt(np.diag(g))
     for _ in range(2):
-        rhs = np.array([inner_product(r, result) for r in reps])
+        rhs = gram([*reps, result])[:-1, -1]
         if np.all(np.abs(rhs) <= floor):
             break
         sol = np.linalg.solve(g, rhs)
@@ -402,11 +406,6 @@ def truncate(v: TailVector, J: int, space: SpaceConfig = ELL2) -> tuple[TailVect
     if J < v.anchor:
         raise ValueError(f"truncation index {J} must be >= prefix length {v.anchor}")
     return TailVector(v.coords(J)), _remainder_norm(v, J, space)
-
-
-def _remainder_norm(v: TailVector, J: int, space: SpaceConfig) -> float:
-    """Exact norm of the coordinates of v past J, for J >= v.anchor."""
-    return norm(TailVector((), _realigned_tail(v, J, v.period), v.tail_ratio), space)
 
 
 def gram(vectors: Sequence[TailVector], J: int = 0) -> np.ndarray:

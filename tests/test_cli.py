@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -791,3 +792,43 @@ class TestCommandLine:
         assert result.returncode == 0
         assert result.stdout == ""
         assert json.loads(out.read_text())["results"]
+
+
+def capped_cli(*args, limit=2 << 30):
+    """cli(), in a child under an address-space limit and one BLAS thread, as bench/run.py runs."""
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(hard, limit), hard))
+
+    env = {k: v for k, v in os.environ.items() if k != "OPQUANT_SEED"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "opquant", *args], capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120
+    )
+
+
+class TestSchemaEdges:
+    """The largest value each cap admits runs to exit 0 under a 2 GB address-space
+    limit; the refusals one past each cap are tested above."""
+
+    def test_six_lemma_functionals(self, tmp_path):
+        path = tmp_path / "lemma.json"
+        path.write_text(json.dumps({"experiment": "lemma_check", "parameters": {"functionals": 6}}))
+        result = capped_cli("run", "--config", str(path))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["results"][0]["passed"] is True
+
+    def test_sixty_four_ambient_vectors(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(with_params(IDENTITY, vectors=64)))
+        out = tmp_path / "bundle.json"
+        result = capped_cli("vectors", "--config", str(path), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert len(json.loads(out.read_text())["biorthogonal"]["vectors"]) == 64
+
+    def test_a_window_at_the_spectrum_cap(self):
+        diagonal = '{"kind": "diagonal", "periodic": [2.0, 1.0]}'
+        result = capped_cli("quantities", "--op", diagonal, "--quantity", "G", "--schedule", "[[16777216, 1, 1]]")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["results"][0]["value"] == 1.0

@@ -1,6 +1,7 @@
 """Tests for the biorthogonal build, core approximants, and experiments."""
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -22,6 +23,8 @@ from opquant import (
     FiniteRankPlus,
     IncompatibleTails,
     InvalidWitness,
+    LinearFunctional,
+    OpquantError,
     Subspace,
     TailVector,
     WeightedShift,
@@ -956,3 +959,62 @@ class TestSubBasisCertificate:
         if all(slack >= 0.0 for *_, slack in certify_construction(ca)):
             assert measured["certified_margin"] >= -1e-12 * measured["threshold"]
             assert report.passed
+
+
+class TestRefusalsReadFromOneGram:
+    """Each refusal of the system check and of the build's kernel check, on a
+    hand-corrupted system or approximant, matching its message."""
+
+    @pytest.fixture
+    def system(self):
+        return build_biorthogonal(sample_witness_subspace(np.random.default_rng(4), 3), 3)
+
+    @staticmethod
+    def replaced(system, field, index, value):
+        items = list(getattr(system, field))
+        items[index] = value
+        return dataclasses.replace(system, **{field: tuple(items)})
+
+    def test_vector_not_normalized(self, system):
+        bad = self.replaced(system, "vectors", 1, scaled(system.vectors[1], 1.5))
+        with pytest.raises(OpquantError, match=r"^vector 2 is not normalized$"):
+            construction._validate_system(bad)
+
+    def test_functional_not_normalized(self, system):
+        f = system.functionals[1]
+        bad = self.replaced(system, "functionals", 1, LinearFunctional(f.representer, 1.5))
+        with pytest.raises(OpquantError, match=r"^functional 2 is not normalized$"):
+            construction._validate_system(bad)
+
+    def test_pairing_not_one(self, system):
+        f = system.functionals[2]
+        bad = self.replaced(system, "functionals", 2, LinearFunctional(scaled(f.representer, 1.5), f.dual_norm))
+        with pytest.raises(OpquantError, match=r"^pairing 3 is not 1$"):
+            construction._validate_system(bad)
+
+    @pytest.mark.parametrize("spread, first", [((0.0, 1.0), 2), ((1.0, 1.0), 1)])
+    def test_functional_does_not_annihilate(self, spread, first):
+        # m_3 leans on e_1 and e_2 while x'_3 = e_3 scaled to pair to 1 with it
+        weights = np.array([*spread, 1.0])
+        weights /= np.linalg.norm(weights)
+        m3 = TailVector(weights)
+        vectors = (unit_vector(1), unit_vector(2), m3)
+        functionals = (
+            functional_from_representer(unit_vector(1), ELL2),
+            functional_from_representer(unit_vector(2), ELL2),
+            LinearFunctional(scaled(unit_vector(3), 1.0 / weights[2]), 1.0),
+        )
+        bad = construction.BiorthogonalSystem(vectors, functionals, ELL2, gram(vectors))
+        with pytest.raises(OpquantError, match=rf"^functional {first} does not annihilate vector 3$"):
+            construction._validate_system(bad)
+
+    def test_approximant_escapes_the_kernels(self, monkeypatch):
+        # without its head correction z_n = head_J(m_n) is within budget of m_n,
+        # yet x'_1(z_2) = -x'_1(tail_J m_2) is far from 0
+        def uncorrected(m, reps, tol, what):
+            return np.zeros(len(reps)), 0.0, _minimal_truncation_index(m, tol / 2.0, ELL2)
+
+        system = build_biorthogonal(odd_coordinate_witness(), 3)
+        monkeypatch.setattr(construction, "_core_member", uncorrected)
+        with pytest.raises(BudgetInfeasible, match=r"^approximant 2 escapes the kernel intersection$"):
+            build_core_approximants(system, Diagonal(periodic_values=(1.0,)), 0.5, 1.0)

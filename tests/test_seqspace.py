@@ -640,3 +640,131 @@ class TestOneClosedForm:
         v = TailVector(prefix, coeffs, r)
         a = v.anchor + past
         np.testing.assert_array_equal(_tail_row(v, a, length), v.coords(a + length)[a:])
+
+
+def _rel(value, reference):
+    """|value - reference| / |reference| for a float against a nonzero Decimal."""
+    return abs(Decimal(value) - reference) / abs(reference)
+
+
+class TestPowersBelowTheNormalRange:
+    """c r^t where r^t underflows and c r^t does not, against 50-digit Decimal."""
+
+    V = TailVector((), (1e200, 1e200), 1e-100)
+
+    @staticmethod
+    def exact(c, r, t):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            return Decimal(c) * Decimal(r) ** t
+
+    def test_coordinate_five(self):
+        # coordinate 5 is 1e200 * (1e-100)^4 = 1e-200, while (1e-100)^4 underflows
+        reference = self.exact(1e200, 1e-100, 4)
+        assert _rel(self.V.coords(5)[4], reference) <= 1e-13
+        assert _rel(self.V.coordinate(5), reference) <= 1e-13
+
+    def test_remainder_norm(self):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            r2 = Decimal(1e-100) ** 2
+            reference = (self.exact(1e200, 1e-100, 4) ** 2 / (1 - r2)).sqrt()
+            assert _rel(_remainder_norm(self.V, 4, ELL2), reference) <= 1e-13
+
+    def test_combination_keeps_its_tail(self):
+        w = linear_combine([1.0, 1.0], [self.V, unit_vector(5)])
+        assert w.anchor == 5 and w.tail_ratio == 1e-100
+        for c in w.tail_coeffs:
+            assert _rel(c, self.exact(1e200, 1e-100, 5)) <= 1e-13
+
+    def test_diagonal_image(self):
+        image = apply(Diagonal((1.0,) * 6, (1.0,)), self.V).coords(6)[4:]
+        assert _rel(image[0], self.exact(1e200, 1e-100, 4)) <= 1e-13
+        assert _rel(image[1], self.exact(1e200, 1e-100, 5)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "log_c, log_r, t", [(1023, -1022, 2), (1020, -510, 4), (1023, -400, 5), (1023, -300, 6), (1000, -600, 3)]
+    )
+    def test_several_factors(self, log_c, log_r, t):
+        """Powers of two, so c r^t is exact: two or three factors r^k past r^(t mod k)."""
+        v = TailVector((), (math.ldexp(1.0, log_c),), math.ldexp(1.0, log_r))
+        assert v.coordinate(t + 1) == math.ldexp(1.0, log_c + log_r * t)
+        assert v.coordinate(t + 2) == math.ldexp(1.0, log_c + log_r * (t + 1))
+
+    @settings(max_examples=300)
+    @given(
+        st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3),
+        st.floats(0.5, 1.0, exclude_max=True),
+        st.integers(1, 1020),
+        st.integers(1, 4000),
+        st.sampled_from((1.0, -1.0)),
+    )
+    def test_every_exponent(self, x, m, e, t, sign):
+        """c = x 2^1000 on r = sign m 2^-e: where r^t is normal the row is the plain
+        product bit for bit; below, a normal c r^t is within 1e-13 of the reference,
+        and one under the least subnormal is 0."""
+        c, r = math.ldexp(x, 1000), sign * math.ldexp(m, -e)
+        row = seqspace._tail_row(TailVector((), (c,), r), t, 1)[0]
+        # an array exponent, as rows take their powers
+        if abs(power := (r ** np.array([t], dtype=np.float64))[0]) >= 2.0**-1022:
+            assert row == c * power
+            return
+        reference = self.exact(c, r, t)
+        if abs(reference) >= Decimal(2.0**-1022):
+            assert _rel(row, reference) <= 1e-13
+        elif abs(reference) < Decimal(2.0**-1075):
+            assert row == 0.0
+
+
+def _decimal_remainder(v, J, p):
+    """The l^p norm of the exact coordinates of v past J, at 50 digits.
+
+    Coordinates J + 1 .. anchor, then one tail period past max(J, anchor)
+    over 1 - |r|^(pP); for p = inf the largest of them.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        head = [abs(Decimal(x)) for x in v.prefix[J:]]
+        d, P, R = max(J - v.anchor, 0), v.period, abs(Decimal(v.tail_ratio))
+        row = [] if v.has_zero_tail else [abs(Decimal(v.tail_coeffs[(d + s) % P])) * R ** (d + s) for s in range(P)]
+        if p == math.inf:
+            return max(head + row, default=Decimal(0))
+        total = sum(x**p for x in head) + sum(x**p for x in row) / (1 - R ** (p * P))
+        return total if p == 1 else total.sqrt()
+
+
+class TestOneNormPastJ:
+    """_remainder_norm is the one l^p norm routine; norm is its J = 0."""
+
+    @settings(max_examples=300)
+    @given(PREFIX, COEFFS, RATIOS, st.sampled_from((ELL1, ELL2, ELLINF)), st.data())
+    def test_against_decimal_sums(self, prefix, coeffs, r, space, data):
+        v = TailVector(prefix, coeffs, r)
+        J = data.draw(st.integers(0, v.anchor + 3 * v.period))
+        reference = _decimal_remainder(v, J, space.p)
+        value = _remainder_norm(v, J, space)
+        if reference == 0:
+            assert value == 0.0
+        else:
+            assert _rel(value, reference) <= 1e-13
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.tuples(PREFIX, COEFFS, RATIOS), tails().map(lambda t: ((), *t))))
+    def test_norm_is_the_remainder_past_zero(self, args):
+        """Bit for bit, wide coefficients over tiny ratios included."""
+        v = TailVector(*args)
+        for space in (ELL1, ELL2, ELLINF):
+            assert norm(v, space) == _remainder_norm(v, 0, space)
+
+    def test_remainder_past_any_index(self):
+        # past J < anchor the remainder holds prefix coordinates J + 1 .. anchor
+        v = TailVector((3.0, 4.0), (1.0,), 0.5)
+        assert _remainder_norm(v, 1, ELL1) == 4.0 + 2.0
+        assert _remainder_norm(v, 1, ELLINF) == 4.0
+        assert _remainder_norm(v, 1, ELL2) == pytest.approx(math.sqrt(16.0 + 4.0 / 3.0), rel=1e-15)
+        assert _remainder_norm(TailVector((3.0, 4.0)), 1, ELL2) == 4.0
+
+    @pytest.mark.parametrize("space", (ELL1, ELL2, ELLINF))
+    def test_a_numpy_index(self, space):
+        v = TailVector((3.0, 4.0), (1.0, -0.5), 0.5)
+        assert truncate(v, np.int64(5), space)[1] == truncate(v, 5, space)[1]
